@@ -1,4 +1,4 @@
-"""Token alignment, span-edit extraction, and one-pass tag encoding.
+"""Token alignment, span-edit extraction, and tag encoding.
 
 The Levenshtein kernel is the hot loop of every corpus-scale operation
 (vocabulary building, baseline training, span voting, scoring), so it lives
@@ -11,10 +11,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import _levenshtein
-from .spans import EditSpan
+from .decode import apply_tags
+from .spans import EditSpan, TokenSeq
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
 from .transforms import detect_transform
 
@@ -184,3 +185,27 @@ def encode_tags(
                     if tags[op.src_index].is_keep:
                         tags[op.src_index] = append(tgt[op.tgt_index])
     return TagSeq(tags)
+
+
+def encode_passes(
+    source: Sequence[str],
+    target: Sequence[str],
+    lexicon: "VerbLexicon | None" = None,
+) -> Iterator[tuple[TokenSeq, TagSeq]]:
+    """Run the encoder to convergence, yielding ``(sentence, tags)`` per pass.
+
+    Each pass encodes the current sentence toward ``target`` and the next one
+    applies those tags.  The last pass is the all-KEEP one at ``target``, so
+    tags that hide behind other edits (deep insertions) show up in some pass.
+    """
+    cur = tuple(source)
+    tgt = tuple(target)
+    # len(tgt)+1 applies suffice to reach the target; one more encode
+    # observes the all-KEEP fixed point.
+    for _ in range(len(tgt) + 2):
+        tags = encode_tags(cur, tgt, lexicon)
+        yield cur, tags
+        if tags.all_keep:
+            return
+        cur = apply_tags(cur, tags, lexicon)
+    raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")  # pragma: no cover

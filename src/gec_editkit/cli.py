@@ -1,10 +1,9 @@
 """Batch command-line surface.
 
 Every subcommand is a thin deterministic wrapper over one library operation:
-identical inputs, flags, and seed produce byte-identical outputs, and
-``--workers`` only changes wall time.  Output files are written to a
-temporary sibling and renamed on success, so failures leave nothing partial
-behind.
+identical inputs, flags, and seed produce byte-identical outputs.  Output
+files are written to a temporary sibling and renamed on success, so failures
+leave nothing partial behind.
 
 Tagger member specs (for correct/ensemble/tune/distill) take two forms::
 
@@ -19,10 +18,9 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .align import encode_tags, extract_edits
 from .corpus import (
@@ -46,10 +44,6 @@ from .transforms import VerbLexicon
 from .tune import tune_hyperparams
 from .vocab import build_vocab, read_vocab_file, write_vocab_file
 
-T = TypeVar("T")
-U = TypeVar("U")
-
-
 @contextmanager
 def _atomic_output(path: str) -> Iterator[Path]:
     final = Path(path)
@@ -63,13 +57,6 @@ def _atomic_output(path: str) -> Iterator[Path]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-
-
-def _map_ordered(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list[U]:
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_lexicon(args: argparse.Namespace) -> VerbLexicon | None:
@@ -154,9 +141,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     tagger = _build_tagger(args.tagger, vocab, lexicon)
     hp = _hp(args)
     sentences = read_sentences(args.input)
-    outputs = _map_ordered(
-        lambda sent: run_pipeline(tagger, sent, hp, lexicon).output, sentences, args.workers
-    )
+    outputs = [run_pipeline(tagger, sent, hp, lexicon).output for sent in sentences]
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, outputs)
     return 0
@@ -172,20 +157,14 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                 raise InputError(f"{path}: {len(outputs)} sentences, source has {len(sources)}")
         hp = _hp(args, n_members=len(args.member))
         rows = list(zip(*member_outputs)) if member_outputs else []
-        corrected = _map_ordered(
-            lambda item: vote_correct(item[0], item[1], hp.n_min),
-            list(zip(sources, rows)),
-            args.workers,
-        )
+        corrected = [vote_correct(src, row, hp.n_min) for src, row in zip(sources, rows)]
     else:
         if not args.vocab:
             raise ContractError("--vocab is required in average mode")
         vocab = read_vocab_file(args.vocab)
         taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
         hp = _hp(args, n_members=len(taggers))
-        corrected = _map_ordered(
-            lambda sent: average_correct(taggers, sent, hp, lexicon), sources, args.workers
-        )
+        corrected = [average_correct(taggers, sent, hp, lexicon) for sent in sources]
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, corrected)
     return 0
@@ -226,17 +205,12 @@ def cmd_distill(args: argparse.Namespace) -> int:
     taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
     hp = _hp(args, n_members=len(taggers))
 
-    # Sentences stream through in order and stop at the pair limit; --workers
-    # fans out across ensemble members within a sentence, never across the
-    # stream, so output order cannot change.
     def correct_one(tokens: TokenSeq) -> TokenSeq:
         if len(taggers) == 1:
             return run_pipeline(taggers[0], tokens, hp, lexicon).output
         if args.mode == EnsembleMode.AVERAGE.value:
             return average_correct(taggers, tokens, hp, lexicon)
-        outputs = _map_ordered(
-            lambda tagger: run_pipeline(tagger, tokens, hp, lexicon).output, taggers, args.workers
-        )
+        outputs = [run_pipeline(tagger, tokens, hp, lexicon).output for tagger in taggers]
         return vote_correct(tokens, outputs, hp.n_min)
 
     pairs, stats = distill(correct_one, read_sentences(args.input), args.limit)
@@ -291,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--tagger", required=True, help="matrix=PATH or baseline=PATH[,cw=N][,sm=X]")
     p.add_argument("--lexicon")
-    p.add_argument("--workers", type=int, default=1)
     _add_hp_flags(p)
     p.set_defaults(func=cmd_correct)
 
@@ -307,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vocab", help="required in average mode")
     p.add_argument("--lexicon")
-    p.add_argument("--workers", type=int, default=1)
     _add_hp_flags(p, n_min=True)
     p.set_defaults(func=cmd_ensemble)
 
@@ -334,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in EnsembleMode], default=EnsembleMode.VOTE.value)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--workers", type=int, default=1)
     _add_hp_flags(p, n_min=True)
     p.set_defaults(func=cmd_distill)
 

@@ -4,14 +4,15 @@ select_tags applies the two inference tweaks before the per-position argmax:
 extra confidence added to KEEP (trades recall for precision) and a minimum
 error probability below which corrections are suppressed, both at sentence
 level (gate on the max detection score) and at token level (demote weak
-picks).  run_pipeline iterates predict -> select -> apply, bounded by
-max_iters, because some corrections only become expressible after others.
+picks).  decode_iteratively repeats predict -> select -> apply, bounded by
+max_iters, because some corrections only become expressible after others;
+run_pipeline and the averaging ensemble both decode through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -132,26 +133,38 @@ def apply_tags(
     return tuple(out)
 
 
+def decode_iteratively(
+    predict: Callable[[TokenSeq], TagDistribution],
+    vocab: TagVocab,
+    tokens: Sequence[str],
+    hp: Hyperparams = Hyperparams(),
+    lexicon: "VerbLexicon | None" = None,
+) -> CorrectionResult:
+    """Predict, select, apply, repeat: the one decoding loop.
+
+    Stops as soon as a pass selects KEEP everywhere, else after
+    ``hp.max_iters`` passes.  ``predict`` maps the current sentence to a
+    distribution over ``vocab``: one tagger's, or an ensemble's average.
+    """
+    cur = tuple(tokens)
+    history: list[TagSeq] = []
+    for _ in range(hp.max_iters):
+        tags = select_tags(predict(cur), vocab, hp.ac, hp.mep)
+        history.append(tags)
+        if tags.all_keep:
+            break
+        cur = apply_tags(cur, tags, lexicon)
+    return CorrectionResult(cur, len(history), tuple(history))
+
+
 def run_pipeline(
     tagger: Tagger,
     tokens: Sequence[str],
     hp: Hyperparams = Hyperparams(),
     lexicon: "VerbLexicon | None" = None,
 ) -> CorrectionResult:
-    """Iteratively correct ``tokens``: predict, select, apply, repeat.
+    """Iteratively correct ``tokens`` with one tagger (see decode_iteratively).
 
-    Stops as soon as a pass selects KEEP everywhere, else after
-    ``hp.max_iters`` passes.  Deterministic for a fixed tagger and input.
+    Deterministic for a fixed tagger and input.
     """
-    cur = tuple(tokens)
-    history: list[TagSeq] = []
-    iterations = 0
-    for _ in range(hp.max_iters):
-        dist = tagger.predict(cur)
-        tags = select_tags(dist, tagger.vocab, hp.ac, hp.mep)
-        history.append(tags)
-        iterations += 1
-        if tags.all_keep:
-            break
-        cur = apply_tags(cur, tags, lexicon)
-    return CorrectionResult(cur, iterations, tuple(history))
+    return decode_iteratively(tagger.predict, tagger.vocab, tokens, hp, lexicon)

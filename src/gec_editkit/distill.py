@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .corpus import ParallelCorpus
-from .errors import ContractError
+from .errors import ContractError, EditKitError
 from .spans import TokenSeq
 
 Corrector = Callable[[TokenSeq], Sequence[str]]
@@ -42,8 +42,9 @@ def distill(
 ) -> tuple[ParallelCorpus, DistillStats]:
     """Collect up to ``limit`` (input, corrected) pairs where output != input.
 
-    A corrector failure on one sentence is counted and skipped; the stream is
-    never aborted.  Stops consuming once the limit is reached.
+    A sentence the corrector rejects with an ``EditKitError`` (bad input, a
+    broken contract) is counted as failed and skipped.  Any other exception
+    is a bug and propagates.  Stops consuming once the limit is reached.
     """
     if limit < 1:
         raise ContractError(f"limit must be >= 1, got {limit}")
@@ -54,7 +55,7 @@ def distill(
         processed += 1
         try:
             output = tuple(corrector(source))
-        except Exception:
+        except EditKitError:
             failed += 1
             continue
         if output != source:

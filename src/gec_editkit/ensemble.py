@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .align import extract_edits
-from .decode import Hyperparams, apply_tags, select_tags
+from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, apply_edits
 from .tagger import TagDistribution, Tagger
@@ -132,14 +132,11 @@ def average_correct(
     for i, t in enumerate(taggers[1:], start=1):
         if t.vocab.sha256 != vocab.sha256:
             raise ContractError(f"member {i} uses a different tag vocabulary; averaging requires identical vocabs")
-    cur = tuple(tokens)
-    for _ in range(hp.max_iters):
-        dist = average_distributions([t.predict(cur) for t in taggers])
-        tags = select_tags(dist, vocab, hp.ac, hp.mep)
-        if tags.all_keep:
-            break
-        cur = apply_tags(cur, tags, lexicon)
-    return cur
+
+    def predict(cur: TokenSeq) -> TagDistribution:
+        return average_distributions([t.predict(cur) for t in taggers])
+
+    return decode_iteratively(predict, vocab, tokens, hp, lexicon).output
 
 
 def vote_correct(

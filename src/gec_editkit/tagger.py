@@ -145,27 +145,17 @@ def train_baseline(
     model also sees the intermediate sentences it will encounter during
     iterative decoding); tags outside ``vocab`` count as UNKNOWN.
     """
-    from .align import encode_tags
-    from .decode import apply_tags
+    from .align import encode_passes
 
     model = BaselineTagger(vocab, context_width, smoothing, {})
     counts = model.counts
     for source, target in pairs:
-        cur = tuple(source)
-        tgt = tuple(target)
-        for _ in range(len(tgt) + 2):
-            tags = encode_tags(cur, tgt, lexicon)
+        for cur, tags in encode_passes(source, target, lexicon):
             for p, tag in enumerate(tags):
                 key = _context_key(cur, p, context_width)
                 slot = counts.setdefault(key, {})
                 idx = vocab.index_of(tag)
                 slot[idx] = slot.get(idx, 0) + 1
-            if tags.all_keep:
-                break
-            cur = apply_tags(cur, tags, lexicon)
-        else:
-            if cur != tgt:  # pragma: no cover - convergence is proven by tests
-                raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")
     return model
 
 

@@ -84,24 +84,12 @@ def count_edit_tags(
     Multi-pass counting makes appends that hide behind other edits (deep
     insertions) show up in the counts.
     """
-    from .align import encode_tags
-    from .decode import apply_tags
+    from .align import encode_passes
 
     counts: Counter[Tag] = Counter()
     for source, target in pairs:
-        cur = tuple(source)
-        tgt = tuple(target)
-        # len(tgt)+1 applies suffice to reach the target; one more encode
-        # observes the all-KEEP fixed point.
-        for _ in range(len(tgt) + 2):
-            tags = encode_tags(cur, tgt, lexicon)
+        for _, tags in encode_passes(source, target, lexicon):
             counts.update(tags)
-            if tags.all_keep:
-                break
-            cur = apply_tags(cur, tags, lexicon)
-        else:
-            if cur != tgt:  # pragma: no cover - encode/apply convergence is proven by tests
-                raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")
     return counts
 
 

@@ -6,11 +6,15 @@ from gec_editkit import (
     align_tokens,
     apply_edits,
     apply_tags,
+    build_vocab,
     encode_tags,
     extract_edits,
     format_tag,
+    train_baseline,
 )
+from gec_editkit.align import encode_passes
 from gec_editkit.tags import KEEP
+from gec_editkit.vocab import count_edit_tags
 
 from gen import random_pair, random_tokens
 
@@ -188,3 +192,26 @@ def test_multitoken_substitution_defers_to_later_passes():
     # one source token -> three target tokens
     passes = iterate_to_target(("abc",), ("x", "y", "z"))
     assert passes <= 4
+
+
+def test_encode_passes_walk_from_source_to_target():
+    rng = random.Random(61)
+    for _ in range(300):
+        src, tgt = random_pair(rng, max_len=15)
+        passes = list(encode_passes(src, tgt))
+        assert passes[0][0] == src
+        for (prev, tags), (nxt, _) in zip(passes, passes[1:]):
+            assert nxt == apply_tags(prev, tags)
+        assert [tags.all_keep for _, tags in passes] == [False] * (len(passes) - 1) + [True]
+        assert passes[-1][0] == tgt
+        assert len(passes) <= len(tgt) + 2
+
+
+def test_encode_passes_feed_vocab_and_baseline_alike():
+    rng = random.Random(67)
+    pairs = [random_pair(rng, max_len=12) for _ in range(80)]
+    vocab = build_vocab(pairs, size_cap=100_000)
+    counts = count_edit_tags(pairs)
+    assert set(counts) <= set(vocab.tags)
+    model = train_baseline(pairs, vocab, context_width=1)
+    assert sum(sum(slot.values()) for slot in model.counts.values()) == sum(counts.values())

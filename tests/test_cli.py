@@ -61,21 +61,6 @@ def test_score_perfect_hypothesis(workspace, capsys):
     assert "P 100.00 R 100.00 F0.5 100.00" in out
 
 
-def test_workers_do_not_change_output(workspace):
-    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
-    outs = []
-    for workers in ("1", "4"):
-        out = tmp_path / f"w{workers}.txt"
-        rc = main([
-            "correct", "--input", str(eval_txt), "--output", str(out),
-            "--vocab", str(vocab_path), "--tagger", f"baseline={train_tsv},cw=1",
-            "--workers", workers,
-        ])
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_encode_apply_round_trip_single_pass(tmp_path):
     # substitution-only pairs converge in one pass
     pairs = [(("he", "go"), ("He", "goes")), (("a", "dog"), ("a", "cat"))]

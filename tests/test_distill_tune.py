@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gec_editkit import ContractError, EditSpan, distill, extract_edits, tune_hyperparams
+from gec_editkit import ContractError, EditSpan, InputError, distill, extract_edits, tune_hyperparams
 from gec_editkit.decode import Hyperparams
 
 from gen import random_tokens
@@ -49,7 +49,7 @@ def test_distill_never_emits_edit_free_pairs():
 def test_distill_counts_and_skips_failures():
     def brittle(tokens):
         if "boom" in tokens:
-            raise RuntimeError("nope")
+            raise InputError("nope")
         return tokens + ("!",)
 
     sentences = [("a",), ("boom",), ("b",), ("boom", "x")]
@@ -58,6 +58,16 @@ def test_distill_counts_and_skips_failures():
     assert stats.failed == 2
     assert stats.processed == 4
     assert stats.emitted == 2
+
+
+def test_distill_propagates_corrector_bugs():
+    def buggy(tokens):
+        if "boom" in tokens:
+            raise RuntimeError("bug")
+        return tokens + ("!",)
+
+    with pytest.raises(RuntimeError, match="bug"):
+        distill(buggy, [("a",), ("boom",), ("b",)], limit=100)
 
 
 def test_distill_limit_contract():
