@@ -75,7 +75,7 @@ def select_tags(dist: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: fl
     keep_idx = vocab.keep_index
     scores = dist.rows.copy()
     scores[:, keep_idx] += ac
-    scores[0, ~np.asarray(vocab.start_position_mask())] = -1.0
+    scores[0, ~vocab.start_position_mask()] = -1.0
     picks = scores.argmax(axis=1)
     raw = dist.rows[np.arange(n_pos), picks]
     picks[(picks != keep_idx) & (raw < mep)] = keep_idx

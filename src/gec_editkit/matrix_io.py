@@ -9,6 +9,13 @@ Every following line is one sentence record::
     {"tokens": [...], "rows": [[...], ...], "error_probs": [...]}
 
 Rows include the START position first, so there are len(tokens) + 1 of them.
+A record is valid when ``tokens`` is a list of non-empty, whitespace-free
+strings, ``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size``
+numbers, and ``error_probs`` holds one number per row.  Every number must be a
+JSON number or boolean (no strings, no null), finite and within [0, 1], and
+each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader checks the
+structure in Python, then builds each record's arrays once and leaves the
+numeric checks to TagDistribution, so they run vectorised and only once.
 JSON float serialization uses repr, which round-trips doubles exactly, so a
 write/read cycle is lossless.
 """
@@ -19,9 +26,11 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import ContractError, EditKitError, FormatError
 from .spans import TokenSeq, validate_tokens
-from .tagger import CONSTRUCT_SUM_TOL, TagDistribution
+from .tagger import TagDistribution
 from .vocab import TagVocab
 
 MATRIX_FORMAT = "gec-editkit/matrix-v1"
@@ -82,7 +91,7 @@ def iter_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> Iterato
             if len(vocab) != vocab_size:
                 raise FormatError(f"header vocab_size {vocab_size} != vocab size {len(vocab)}", path=spath, line=1)
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
             yield _parse_record(line, vocab_id, vocab_size, spath, lineno)
 
@@ -106,9 +115,11 @@ def _parse_record(line: str, vocab_id: str, vocab_size: int, path: str, lineno: 
     missing = {"tokens", "rows", "error_probs"} - obj.keys()
     if missing:
         raise FormatError(f"record is missing {sorted(missing)}", path=path, line=lineno)
+    if not isinstance(obj["tokens"], list):
+        raise FormatError("bad tokens: expected a JSON list of strings", path=path, line=lineno)
     try:
         tokens = validate_tokens(obj["tokens"])
-    except Exception as exc:
+    except EditKitError as exc:
         raise FormatError(f"bad tokens: {exc}", path=path, line=lineno) from None
     rows = obj["rows"]
     error_probs = obj["error_probs"]
@@ -132,11 +143,27 @@ def _parse_record(line: str, vocab_id: str, vocab_size: int, path: str, lineno: 
                 path=path,
                 line=lineno,
             )
-        if not all(isinstance(x, (int, float)) and 0.0 <= x <= 1.0 for x in row):
-            raise FormatError(f"row {i} has probabilities outside [0, 1]", path=path, line=lineno)
-        total = sum(row)
-        if abs(total - 1.0) > CONSTRUCT_SUM_TOL:
-            raise FormatError(f"row {i} sums to {total!r}, not 1", path=path, line=lineno)
-    if not all(isinstance(x, (int, float)) and 0.0 <= x <= 1.0 for x in error_probs):
-        raise FormatError("error_probs outside [0, 1]", path=path, line=lineno)
-    return tokens, TagDistribution(vocab_id, rows, error_probs)
+    rows_arr = _number_array(rows, "rows", path, lineno)
+    err_arr = _number_array(error_probs, "error_probs", path, lineno)
+    try:
+        return tokens, TagDistribution(vocab_id, rows_arr, err_arr)
+    except ContractError as exc:
+        raise FormatError(str(exc), path=path, line=lineno) from None
+
+
+def _number_array(values: list, what: str, path: str, lineno: int) -> np.ndarray:
+    """``values`` as a float64 array, refusing anything but JSON numbers and booleans.
+
+    No dtype is passed to np.array: with dtype=float64 numpy would parse a
+    numeric string such as "0.5" instead of refusing it.  Strings come back
+    with kind "U", null and out-of-range integers with kind "O", and nested
+    lists of uneven depth raise ValueError.
+    """
+    message = f"{what} must hold only numbers"
+    try:
+        arr = np.array(values)
+    except ValueError:
+        raise FormatError(message, path=path, line=lineno) from None
+    if arr.dtype.kind not in "biuf":
+        raise FormatError(message, path=path, line=lineno)
+    return arr.astype(np.float64, copy=False)

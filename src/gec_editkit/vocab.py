@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ContractError, FormatError
+import numpy as np
+
+from .errors import ContractError, EditKitError, FormatError
 from .tags import DELETE, KEEP, UNKNOWN, Tag, TagKind, format_tag, parse_tag
 
 if TYPE_CHECKING:
@@ -32,7 +34,7 @@ class TagVocab:
     tags: tuple[Tag, ...]
     index: dict[Tag, int] = field(init=False, repr=False, compare=False)
     sha256: str = field(init=False, compare=False)
-    _start_mask: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _start_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tags or self.tags[0] != KEEP:
@@ -46,11 +48,9 @@ class TagVocab:
         digest = hashlib.sha256("\n".join(format_tag(t) for t in self.tags).encode("utf-8"))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "sha256", digest.hexdigest())
-        object.__setattr__(
-            self,
-            "_start_mask",
-            tuple(t.kind in (TagKind.KEEP, TagKind.APPEND) for t in self.tags),
-        )
+        start_mask = np.array([t.kind in (TagKind.KEEP, TagKind.APPEND) for t in self.tags])
+        start_mask.flags.writeable = False
+        object.__setattr__(self, "_start_mask", start_mask)
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -70,8 +70,8 @@ class TagVocab:
         """Index of ``tag``, mapping out-of-vocabulary tags to UNKNOWN."""
         return self.index.get(tag, self.index[UNKNOWN])
 
-    def start_position_mask(self) -> tuple[bool, ...]:
-        """True for indices selectable at the START position (KEEP/APPEND)."""
+    def start_position_mask(self) -> np.ndarray:
+        """Read-only bool array, True for indices selectable at START (KEEP/APPEND)."""
         return self._start_mask
 
 
@@ -132,7 +132,7 @@ def read_vocab_file(path: str | Path) -> TagVocab:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             tags.append(parse_tag(line))
-        except Exception as exc:
+        except EditKitError as exc:
             raise FormatError(str(exc), path=str(path), line=lineno) from None
     try:
         return TagVocab(tuple(tags))

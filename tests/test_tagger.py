@@ -1,18 +1,23 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_editkit import (
     ContractError,
     FormatError,
     TagDistribution,
+    TagVocab,
     build_vocab,
     read_matrix_file,
     run_pipeline,
     train_baseline,
     write_matrix_file,
 )
+from gec_editkit import matrix_io
 from gec_editkit.tagger import (
     PRODUCER_SUM_TOL,
     BaselineTagger,
@@ -20,6 +25,7 @@ from gec_editkit.tagger import (
     keep_certain_distribution,
 )
 from gec_editkit.tags import replace
+from gec_editkit.vocab import MANDATORY_TAGS
 
 from gen import random_distribution, random_pair, random_vocab
 
@@ -169,12 +175,13 @@ def test_matrix_errors_carry_line_numbers(tmp_path, small_vocab):
     uniform = [1.0 / v] * v
 
     def record(rows, error_probs, tokens='["a"]'):
-        import json
-
         return (
             '{"tokens": ' + tokens + ', "rows": ' + json.dumps(rows)
             + ', "error_probs": ' + json.dumps(error_probs) + "}"
         )
+
+    def row(*head):
+        return list(head) + [0.0] * (v - len(head))
 
     cases = [
         (header + "\n" + record([uniform, uniform[:-1]], [0.0, 0.0]), 2, "row"),
@@ -183,14 +190,98 @@ def test_matrix_errors_carry_line_numbers(tmp_path, small_vocab):
         (header + "\nnot json", 2, "JSON"),
         ('{"format": "other"}' + "\n", 1, "format"),
         (header + "\n" + record([uniform, [0.5] * v], [0.0, 0.0]), 2, "sums"),
+        (header + "\n" + record([uniform, uniform], [0.0, 0.0], tokens="5"), 2, "tokens"),
+        (header + "\n" + record([uniform, uniform], [0.0, 0.0], tokens="[5]"), 2, "tokens"),
     ]
+    # Bad probability values, in a row or in error_probs.  A numeric string
+    # must fail although np.asarray(..., dtype=float64) would parse it.
+    for bad in ("0.5", None, float("nan"), [0.5], -0.1, 1.5):
+        cases.append((header + "\n" + record([uniform, row(bad, 0.5)], [0.0, 0.0]), 2, ""))
+        cases.append((header + "\n" + record([uniform, uniform], [0.0, bad]), 2, ""))
+    cases.append((header + "\n" + record([uniform, row(-0.1, 0.6, 0.5)], [0.0, 0.0]), 2, ""))
+    cases.append((header + "\n" + record([[[x] for x in uniform]] * 2, [0.0, 0.0]), 2, ""))
+    cases.append((header + "\n" + record([uniform, uniform], [[0.0], [0.0]]), 2, ""))
     for text, lineno, needle in cases:
         path = tmp_path / "bad.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FormatError) as exc:
             read_matrix_file(path, small_vocab)
         assert exc.value.line == lineno, text
+        assert str(exc.value).startswith(f"{path}:{lineno}: ")
         assert needle.lower() in str(exc.value).lower()
+
+
+def test_matrix_integer_rows_read_as_float(tmp_path, small_vocab):
+    v = len(small_vocab)
+    rows = [[1] + [0] * (v - 1), [0, 1] + [0] * (v - 2)]
+    header = {"format": "gec-editkit/matrix-v1", "vocab_sha256": small_vocab.sha256, "vocab_size": v}
+    record = {"tokens": ["a"], "rows": rows, "error_probs": [0, 1]}
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    ((tokens, dist),) = read_matrix_file(path, small_vocab)
+    assert tokens == ("a",)
+    assert dist.rows.dtype == np.float64 and dist.error_probs.dtype == np.float64
+    assert np.array_equal(dist.rows, np.array(rows, dtype=np.float64))
+    assert np.array_equal(dist.error_probs, [0.0, 1.0])
+
+
+def test_matrix_string_tokens_are_not_split_into_characters(tmp_path, small_vocab):
+    v = len(small_vocab)
+    header = {"format": "gec-editkit/matrix-v1", "vocab_sha256": small_vocab.sha256, "vocab_size": v}
+    uniform = [1.0 / v] * v
+    record = {"tokens": "ab", "rows": [uniform] * 3, "error_probs": [0.0] * 3}
+    path = tmp_path / "str.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="tokens") as exc:
+        read_matrix_file(path, small_vocab)
+    assert exc.value.line == 2
+
+
+def test_matrix_token_check_lets_bugs_raise(tmp_path, small_vocab, monkeypatch):
+    rng = random.Random(82)
+    path = tmp_path / "m.jsonl"
+    write_matrix_file(path, small_vocab, [(("a",), random_distribution(rng, small_vocab, 1))])
+
+    def broken(tokens):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(matrix_io, "validate_tokens", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        read_matrix_file(path, small_vocab)
+
+
+@st.composite
+def matrix_records(draw):
+    width = draw(st.integers(min_value=0, max_value=40))
+    vocab = TagVocab(MANDATORY_TAGS + tuple(replace(f"w{i}") for i in range(width)))
+    prob = st.floats(min_value=0.0, max_value=1.0)
+    records = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        tokens = tuple(draw(st.lists(st.sampled_from(["a", "b", "ü", "日本"]), max_size=5)))
+        rows = np.array(draw(st.lists(
+            st.lists(prob, min_size=len(vocab), max_size=len(vocab)),
+            min_size=len(tokens) + 1, max_size=len(tokens) + 1,
+        )))
+        sums = rows.sum(axis=1, keepdims=True)
+        rows = np.where(sums > 0, rows / np.where(sums > 0, sums, 1.0), np.eye(1, len(vocab)))
+        error_probs = draw(st.lists(prob, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        records.append((tokens, TagDistribution(vocab.sha256, rows, error_probs)))
+    return vocab, records
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_records())
+def test_matrix_round_trip_property(tmp_path_factory, case):
+    vocab, records = case
+    path = tmp_path_factory.mktemp("matrix") / "m.jsonl"
+    write_matrix_file(path, vocab, records)
+    back = read_matrix_file(path, vocab)
+    assert len(back) == len(records)
+    for (tok_a, d_a), (tok_b, d_b) in zip(records, back):
+        assert tok_a == tok_b
+        assert d_b.rows.dtype == np.float64 and d_b.error_probs.dtype == np.float64
+        assert np.array_equal(d_a.rows, d_b.rows)
+        assert np.array_equal(d_a.error_probs, d_b.error_probs)
 
 
 def test_matrix_vocab_mismatch(tmp_path, small_vocab):

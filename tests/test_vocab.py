@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gec_editkit import (
@@ -12,7 +13,8 @@ from gec_editkit import (
     read_vocab_file,
     write_vocab_file,
 )
-from gec_editkit.tags import DELETE, KEEP, UNKNOWN, append, replace
+from gec_editkit import vocab as vocab_module
+from gec_editkit.tags import DELETE, KEEP, UNKNOWN, TagKind, append, replace
 from gec_editkit.vocab import count_edit_tags
 
 from gen import random_pair, random_tag
@@ -66,6 +68,16 @@ def test_vocab_invariants():
         TagVocab((KEEP, DELETE, UNKNOWN, DELETE))  # duplicate
 
 
+def test_start_position_mask_is_a_fixed_read_only_array():
+    vocab = TagVocab((KEEP, DELETE, UNKNOWN, append("the"), replace("a")))
+    mask = vocab.start_position_mask()
+    assert mask.dtype == np.bool_
+    assert mask.tolist() == [t.kind in (TagKind.KEEP, TagKind.APPEND) for t in vocab.tags]
+    assert vocab.start_position_mask() is mask
+    with pytest.raises(ValueError):
+        mask[1] = True
+
+
 def test_index_of_maps_oov_to_unknown():
     vocab = build_vocab([], 10)
     assert vocab.index_of(KEEP) == 0
@@ -116,6 +128,18 @@ def test_vocab_file_errors(tmp_path):
     assert exc.value.line == 3
     path.write_text("gec-editkit/vocab-v1\n$DELETE\n$KEEP\n$UNKNOWN\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        read_vocab_file(path)
+
+
+def test_vocab_file_tag_check_lets_bugs_raise(tmp_path, monkeypatch):
+    path = tmp_path / "v.txt"
+    write_vocab_file(path, build_vocab([], 10))
+
+    def broken(text):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(vocab_module, "parse_tag", broken)
+    with pytest.raises(RuntimeError, match="bug"):
         read_vocab_file(path)
 
 
