@@ -9,7 +9,7 @@ files of tag probabilities, and a count-based baseline tagger makes the
 whole system runnable end to end at desk scale.
 """
 
-from .align import AlignmentOp, OpKind, align_tokens, alignment_backend, encode_tags, extract_edits
+from .align import alignment_backend, encode_tags, extract_edits
 from .corpus import (
     M2Block,
     M2Edit,
@@ -56,7 +56,6 @@ from .vocab import TagVocab, build_vocab, read_vocab_file, write_vocab_file
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentOp",
     "BaselineTagger",
     "ContractError",
     "CorrectionResult",
@@ -72,7 +71,6 @@ __all__ = [
     "M2Block",
     "M2Edit",
     "MatrixTagger",
-    "OpKind",
     "ParallelCorpus",
     "ScoreReport",
     "SentenceScore",
@@ -88,7 +86,6 @@ __all__ = [
     "TuneResult",
     "VerbLexicon",
     "VoteTally",
-    "align_tokens",
     "alignment_backend",
     "apply_edits",
     "apply_tags",

@@ -2,18 +2,17 @@
 
 The Levenshtein kernel is the hot loop of every corpus-scale operation
 (vocabulary building, baseline training, span voting, scoring), so it lives
-in a compiled extension with this module picking the backend at import time.
-Set GEC_EDITKIT_PURE_PYTHON=1 to force the pure-Python fallback.
+in a compiled extension when one is built; otherwise the pure-Python twin in
+``_levenshtein`` runs.  Both return one op code per alignment step, and this
+module reads those codes directly.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import _levenshtein
+from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 from .decode import apply_tags
 from .spans import EditSpan, TokenSeq
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
@@ -22,44 +21,18 @@ from .transforms import detect_transform
 if TYPE_CHECKING:
     from .transforms import VerbLexicon
 
-if os.environ.get("GEC_EDITKIT_PURE_PYTHON"):
+try:
+    from . import _levenshtein_cy as _kernel  # type: ignore[no-redef]
+
+    _BACKEND = "cython"
+except ImportError:
     _kernel = _levenshtein
     _BACKEND = "python"
-else:
-    try:
-        from . import _levenshtein_cy as _kernel  # type: ignore[no-redef]
-
-        _BACKEND = "cython"
-    except ImportError:
-        _kernel = _levenshtein
-        _BACKEND = "python"
 
 
 def alignment_backend() -> str:
     """Name of the kernel selected at import: "cython" or "python"."""
     return _BACKEND
-
-
-class OpKind(Enum):
-    MATCH = _levenshtein.OP_MATCH
-    SUBSTITUTE = _levenshtein.OP_SUBSTITUTE
-    DELETE = _levenshtein.OP_DELETE
-    INSERT = _levenshtein.OP_INSERT
-
-
-@dataclass(frozen=True, slots=True)
-class AlignmentOp:
-    """One alignment step.
-
-    MATCH/SUBSTITUTE consume one token on each side; DELETE consumes only a
-    source token; INSERT only a target token.  The indices record the cursor
-    on each side when the op fires, so replaying the ops reconstructs both
-    sequences.
-    """
-
-    kind: OpKind
-    src_index: int
-    tgt_index: int
 
 
 def _intern(source: Sequence[str], target: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -69,60 +42,36 @@ def _intern(source: Sequence[str], target: Sequence[str]) -> tuple[list[int], li
     return src, tgt
 
 
-def align_tokens(source: Sequence[str], target: Sequence[str]) -> list[AlignmentOp]:
-    """Minimal-cost token alignment under unit costs (match is free).
+def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, int, int, bytes]]:
+    """Maximal stretches of non-MATCH ops in the minimal-cost alignment.
 
-    Deterministic: the backtrace prefers MATCH, then SUBSTITUTE, then DELETE,
-    then INSERT.
+    Each run is ``(src_start, src_end, tgt_start, tgt_end, codes)``: the
+    source and target spans it covers and its slice of the kernel's op codes.
+    MATCH and SUBSTITUTE consume one token on each side, DELETE only a source
+    token, INSERT only a target token.  The backtrace prefers MATCH, then
+    SUBSTITUTE, then DELETE, then INSERT, so the runs are deterministic.
     """
-    src_ids, tgt_ids = _intern(source, target)
-    codes = _kernel.backtrace_ops(src_ids, tgt_ids)
-    ops: list[AlignmentOp] = []
-    i = j = 0
-    for code in codes:
-        kind = OpKind(code)
-        ops.append(AlignmentOp(kind, i, j))
-        if kind is OpKind.MATCH or kind is OpKind.SUBSTITUTE:
+    codes = _kernel.backtrace_ops(*_intern(source, target))
+    runs: list[tuple[int, int, int, int, bytes]] = []
+    i = j = src_start = tgt_start = 0
+    start = -1  # index into codes where the open run began, or -1
+    for k, code in enumerate(codes):
+        if code == OP_MATCH:
+            if start >= 0:
+                runs.append((src_start, i, tgt_start, j, codes[start:k]))
+                start = -1
             i += 1
             j += 1
-        elif kind is OpKind.DELETE:
+            continue
+        if start < 0:
+            start, src_start, tgt_start = k, i, j
+        if code != OP_INSERT:
             i += 1
-        else:
+        if code != OP_DELETE:
             j += 1
-    return ops
-
-
-@dataclass(frozen=True, slots=True)
-class _Run:
-    """A maximal stretch of non-MATCH ops: source span plus target span."""
-
-    src_start: int
-    src_end: int
-    tgt_start: int
-    tgt_end: int
-    ops: tuple[AlignmentOp, ...]
-
-
-def _runs(ops: Sequence[AlignmentOp]) -> list[_Run]:
-    runs: list[_Run] = []
-    bucket: list[AlignmentOp] = []
-    for op in ops:
-        if op.kind is OpKind.MATCH:
-            if bucket:
-                runs.append(_close_run(bucket))
-                bucket = []
-        else:
-            bucket.append(op)
-    if bucket:
-        runs.append(_close_run(bucket))
+    if start >= 0:
+        runs.append((src_start, i, tgt_start, j, codes[start:]))
     return runs
-
-
-def _close_run(bucket: list[AlignmentOp]) -> _Run:
-    first, last = bucket[0], bucket[-1]
-    src_end = last.src_index + (0 if last.kind is OpKind.INSERT else 1)
-    tgt_end = last.tgt_index + (0 if last.kind is OpKind.DELETE else 1)
-    return _Run(first.src_index, src_end, first.tgt_index, tgt_end, tuple(bucket))
 
 
 def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan]:
@@ -134,8 +83,8 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan
     """
     tgt = tuple(target)
     return [
-        EditSpan(run.src_start, run.src_end, tgt[run.tgt_start:run.tgt_end])
-        for run in _runs(align_tokens(source, target))
+        EditSpan(src_start, src_end, tgt[tgt_start:tgt_end])
+        for src_start, src_end, tgt_start, tgt_end, _ in _runs(source, tgt)
     ]
 
 
@@ -156,34 +105,38 @@ def encode_tags(
     src = tuple(source)
     tgt = tuple(target)
     tags: list[Tag] = [KEEP] * (len(src) + 1)
-    for run in _runs(align_tokens(src, tgt)):
-        repl = tgt[run.tgt_start:run.tgt_end]
-        width = run.src_end - run.src_start
+    for src_start, src_end, tgt_start, tgt_end, codes in _runs(src, tgt):
+        repl = tgt[tgt_start:tgt_end]
+        width = src_end - src_start
         if width == 0:
             # Pure insertion: the anchor is the preceding (matched) position,
             # whose tag slot is still free.
-            anchor = run.src_start
-            if tags[anchor].is_keep:
-                tags[anchor] = append(repl[0])
+            if tags[src_start].is_keep:
+                tags[src_start] = append(repl[0])
         elif width == 1:
-            transform = detect_transform(src[run.src_start], repl, lexicon)
+            transform = detect_transform(src[src_start], repl, lexicon)
             if transform is not None:
-                tags[run.src_start + 1] = transform
+                tags[src_start + 1] = transform
             elif not repl:
-                tags[run.src_start + 1] = DELETE
+                tags[src_start + 1] = DELETE
             else:
-                tags[run.src_start + 1] = replace(repl[0])
+                tags[src_start + 1] = replace(repl[0])
         else:
-            for op in run.ops:
-                if op.kind is OpKind.SUBSTITUTE:
-                    one = (tgt[op.tgt_index],)
-                    transform = detect_transform(src[op.src_index], one, lexicon)
-                    tags[op.src_index + 1] = transform if transform is not None else replace(one[0])
-                elif op.kind is OpKind.DELETE:
-                    tags[op.src_index + 1] = DELETE
+            i, j = src_start, tgt_start
+            for code in codes:
+                if code == OP_SUBSTITUTE:
+                    one = (tgt[j],)
+                    transform = detect_transform(src[i], one, lexicon)
+                    tags[i + 1] = transform if transform is not None else replace(one[0])
+                    i += 1
+                    j += 1
+                elif code == OP_DELETE:
+                    tags[i + 1] = DELETE
+                    i += 1
                 else:  # INSERT: only lands if the anchor slot is free
-                    if tags[op.src_index].is_keep:
-                        tags[op.src_index] = append(tgt[op.tgt_index])
+                    if tags[i].is_keep:
+                        tags[i] = append(tgt[j])
+                    j += 1
     return TagSeq(tags)
 
 

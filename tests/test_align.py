@@ -2,8 +2,6 @@ import random
 
 from gec_editkit import (
     EditSpan,
-    OpKind,
-    align_tokens,
     apply_edits,
     apply_tags,
     build_vocab,
@@ -12,7 +10,8 @@ from gec_editkit import (
     format_tag,
     train_baseline,
 )
-from gec_editkit.align import encode_passes
+from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
+from gec_editkit.align import _intern, encode_passes
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
 
@@ -38,38 +37,47 @@ def brute_force_min_cost(source, target):
     return go(0, 0)
 
 
-def op_cost(ops):
-    return sum(1 for op in ops if op.kind is not OpKind.MATCH)
+def align_codes(source, target):
+    """The pure-Python kernel's op codes for two token sequences."""
+    return backtrace_ops(*_intern(source, target))
 
 
-def replay(ops, source, target):
-    """Reconstruct both sequences from the op stream."""
+def op_cost(codes):
+    return sum(1 for code in codes if code != OP_MATCH)
+
+
+def replay(codes, source, target):
+    """Reconstruct both sequences from the op codes."""
     src_out, tgt_out = [], []
-    for op in ops:
-        if op.kind in (OpKind.MATCH, OpKind.SUBSTITUTE):
-            src_out.append(source[op.src_index])
-            tgt_out.append(target[op.tgt_index])
-        elif op.kind is OpKind.DELETE:
-            src_out.append(source[op.src_index])
+    i = j = 0
+    for code in codes:
+        if code in (OP_MATCH, OP_SUBSTITUTE):
+            src_out.append(source[i])
+            tgt_out.append(target[j])
+            i += 1
+            j += 1
+        elif code == OP_DELETE:
+            src_out.append(source[i])
+            i += 1
         else:
-            tgt_out.append(target[op.tgt_index])
+            assert code == OP_INSERT
+            tgt_out.append(target[j])
+            j += 1
     return tuple(src_out), tuple(tgt_out)
 
 
 def test_align_identical():
-    ops = align_tokens(("a", "b"), ("a", "b"))
-    assert [op.kind for op in ops] == [OpKind.MATCH, OpKind.MATCH]
+    assert align_codes(("a", "b"), ("a", "b")) == bytes([OP_MATCH, OP_MATCH])
 
 
 def test_align_substitution():
-    ops = align_tokens(("He", "go"), ("He", "goes"))
-    assert [op.kind for op in ops] == [OpKind.MATCH, OpKind.SUBSTITUTE]
-    assert brute_force_min_cost(("He", "go"), ("He", "goes")) == op_cost(ops) == 1
+    codes = align_codes(("He", "go"), ("He", "goes"))
+    assert codes == bytes([OP_MATCH, OP_SUBSTITUTE])
+    assert brute_force_min_cost(("He", "go"), ("He", "goes")) == op_cost(codes) == 1
 
 
 def test_align_empty_source():
-    ops = align_tokens((), ("x",))
-    assert [op.kind for op in ops] == [OpKind.INSERT]
+    assert align_codes((), ("x",)) == bytes([OP_INSERT])
 
 
 def test_align_matches_brute_force_cost_on_small_inputs():
@@ -77,16 +85,16 @@ def test_align_matches_brute_force_cost_on_small_inputs():
     for _ in range(300):
         src = random_tokens(rng, max_len=5)
         tgt = random_tokens(rng, max_len=5)
-        ops = align_tokens(src, tgt)
-        assert op_cost(ops) == brute_force_min_cost(src, tgt)
-        assert replay(ops, src, tgt) == (src, tgt)
+        codes = align_codes(src, tgt)
+        assert op_cost(codes) == brute_force_min_cost(src, tgt)
+        assert replay(codes, src, tgt) == (src, tgt)
 
 
 def test_align_is_deterministic():
     rng = random.Random(17)
     for _ in range(50):
         src, tgt = random_pair(rng, max_len=12)
-        assert align_tokens(src, tgt) == align_tokens(src, tgt)
+        assert align_codes(src, tgt) == align_codes(src, tgt)
 
 
 def test_extract_edits_examples():
@@ -111,8 +119,8 @@ def test_extract_edits_disjoint_sorted_no_identity():
         src, tgt = random_pair(rng, max_len=20)
         edits = extract_edits(src, tgt)
         for prev, cur in zip(edits, edits[1:]):
-            assert prev.end < cur.start or (prev.end == cur.start and prev.end - prev.start >= 0)
-            assert prev.end <= cur.start
+            # runs are maximal, so a MATCH always separates two edits
+            assert prev.end < cur.start
         for e in edits:
             assert e.replacement != src[e.start:e.end]
 

@@ -16,4 +16,4 @@ def test_bench_alignment_reports_extract_edits():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert "kernel alone, pure python" in out.stdout
-    assert "extract_edits, kernel plus op-stream wrapper" in out.stdout
+    assert "extract_edits, kernel plus run extraction" in out.stdout
