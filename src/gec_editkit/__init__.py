@@ -25,11 +25,9 @@ from .corpus import (
 from .decode import CorrectionResult, Hyperparams, apply_tags, run_pipeline, select_tags
 from .distill import DistillStats, distill
 from .ensemble import (
-    EnsembleMode,
     VoteTally,
     average_correct,
     average_distributions,
-    ensemble_correct,
     majority_vote,
     tally_votes,
     vote_correct,
@@ -63,7 +61,6 @@ __all__ = [
     "EditKitError",
     "EditOverlapError",
     "EditSpan",
-    "EnsembleMode",
     "FormatError",
     "Hyperparams",
     "InapplicableTransformError",
@@ -96,7 +93,6 @@ __all__ = [
     "detect_transform",
     "distill",
     "encode_tags",
-    "ensemble_correct",
     "extract_edits",
     "f_beta",
     "filter_edit_free",

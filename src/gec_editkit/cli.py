@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .decode import Hyperparams, apply_tags, run_pipeline
 from .distill import distill
-from .ensemble import EnsembleMode, average_correct, vote_correct
+from .ensemble import average_correct, vote_correct
 from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
@@ -43,6 +43,9 @@ from .tags import format_tag, parse_tag
 from .transforms import VerbLexicon
 from .tune import tune_hyperparams
 from .vocab import build_vocab, read_vocab_file, write_vocab_file
+
+MODES = ("average", "vote")
+
 
 @contextmanager
 def _atomic_output(path: str) -> Iterator[Path]:
@@ -60,9 +63,7 @@ def _atomic_output(path: str) -> Iterator[Path]:
 
 
 def _load_lexicon(args: argparse.Namespace) -> VerbLexicon | None:
-    if getattr(args, "lexicon", None):
-        return VerbLexicon.from_path(args.lexicon)
-    return None
+    return VerbLexicon.from_path(args.lexicon) if args.lexicon else None
 
 
 def _build_tagger(spec: str, vocab, lexicon: VerbLexicon | None) -> Tagger:
@@ -89,16 +90,20 @@ def _build_tagger(spec: str, vocab, lexicon: VerbLexicon | None) -> Tagger:
     raise ContractError(f"unknown tagger kind {kind!r} in {spec!r}")
 
 
-def _hp(args: argparse.Namespace, n_members: int = 1) -> Hyperparams:
-    n_min = getattr(args, "n_min", None)
-    if n_min is None:
-        n_min = max(1, n_members - 1)
-    return Hyperparams(
-        ac=getattr(args, "ac", 0.0),
-        mep=getattr(args, "mep", 0.0),
-        max_iters=getattr(args, "max_iters", 4),
-        n_min=n_min,
-    )
+def _hp(args: argparse.Namespace) -> Hyperparams:
+    return Hyperparams(args.ac, args.mep, args.max_iters)
+
+
+def _quorum(args: argparse.Namespace, n_members: int) -> int:
+    """The vote quorum: ``--n-min``, else members - 1 (at least 1).
+
+    Checked here, before any sentence runs, so a bad quorum fails the command
+    instead of failing every sentence.
+    """
+    n_min = max(1, n_members - 1) if args.n_min is None else args.n_min
+    if not 1 <= n_min <= n_members:
+        raise ContractError(f"n_min must lie in [1, {n_members}], got {n_min}")
+    return n_min
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
@@ -150,20 +155,20 @@ def cmd_correct(args: argparse.Namespace) -> int:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     sources = read_sentences(args.source)
-    if args.mode == EnsembleMode.VOTE.value:
+    if args.mode == "vote":
+        n_min = _quorum(args, len(args.member))
         member_outputs = [read_sentences(path) for path in args.member]
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
                 raise InputError(f"{path}: {len(outputs)} sentences, source has {len(sources)}")
-        hp = _hp(args, n_members=len(args.member))
         rows = list(zip(*member_outputs)) if member_outputs else []
-        corrected = [vote_correct(src, row, hp.n_min) for src, row in zip(sources, rows)]
+        corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, rows)]
     else:
         if not args.vocab:
             raise ContractError("--vocab is required in average mode")
         vocab = read_vocab_file(args.vocab)
         taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
-        hp = _hp(args, n_members=len(taggers))
+        hp = _hp(args)
         corrected = [average_correct(taggers, sent, hp, lexicon) for sent in sources]
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, corrected)
@@ -200,18 +205,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
+    hp = _hp(args)
+    n_min = _quorum(args, len(args.member)) if args.mode == "vote" else None
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
     taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
-    hp = _hp(args, n_members=len(taggers))
 
     def correct_one(tokens: TokenSeq) -> TokenSeq:
-        if len(taggers) == 1:
-            return run_pipeline(taggers[0], tokens, hp, lexicon).output
-        if args.mode == EnsembleMode.AVERAGE.value:
+        if args.mode == "average":
             return average_correct(taggers, tokens, hp, lexicon)
         outputs = [run_pipeline(tagger, tokens, hp, lexicon).output for tagger in taggers]
-        return vote_correct(tokens, outputs, hp.n_min)
+        return vote_correct(tokens, outputs, n_min)
 
     pairs, stats = distill(correct_one, read_sentences(args.input), args.limit)
     with _atomic_output(args.output) as tmp:
@@ -232,7 +236,7 @@ def _add_hp_flags(p: argparse.ArgumentParser, n_min: bool = False) -> None:
     p.add_argument("--mep", type=float, default=0.0, help="minimum error probability (default 0)")
     p.add_argument("--max-iters", type=int, default=4, help="correction passes (default 4)")
     if n_min:
-        p.add_argument("--n-min", type=int, default=None, help="vote quorum (default members - 1)")
+        p.add_argument("--n-min", type=int, default=None, help="vote mode's quorum (default members - 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("ensemble", help="combine members by probability averaging or span voting")
-    p.add_argument("--mode", choices=[m.value for m in EnsembleMode], required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--output", required=True)
     p.add_argument(
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--member", action="append", required=True, help="teacher tagger spec(s)")
-    p.add_argument("--mode", choices=[m.value for m in EnsembleMode], default=EnsembleMode.VOTE.value)
+    p.add_argument("--mode", choices=MODES, default="vote")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--lexicon")
     _add_hp_flags(p, n_min=True)
@@ -328,3 +332,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

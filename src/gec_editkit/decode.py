@@ -29,12 +29,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, slots=True)
 class Hyperparams:
-    """Inference knobs: KEEP confidence, error threshold, pass and quorum bounds."""
+    """Inference knobs: KEEP confidence, error threshold and the pass bound."""
 
     ac: float = 0.0
     mep: float = 0.0
     max_iters: int = 4
-    n_min: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ac <= 1.0:
@@ -43,8 +42,6 @@ class Hyperparams:
             raise ContractError(f"mep must lie in [0, 1], got {self.mep}")
         if self.max_iters < 1:
             raise ContractError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.n_min < 1:
-            raise ContractError(f"n_min must be >= 1, got {self.n_min}")
 
 
 @dataclass(frozen=True)

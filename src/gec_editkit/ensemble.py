@@ -10,7 +10,6 @@ is applied when at least ``n_min`` members propose the identical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -23,11 +22,6 @@ from .tagger import TagDistribution, Tagger
 
 if TYPE_CHECKING:
     from .transforms import VerbLexicon
-
-
-class EnsembleMode(Enum):
-    AVERAGE = "average"
-    VOTE = "vote"
 
 
 def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
@@ -63,7 +57,6 @@ class VoteTally:
     """Vote counts per exact edit span across ensemble members."""
 
     votes: dict[EditSpan, int]
-    n_models: int
 
     def surviving(self, n_min: int) -> list[EditSpan]:
         """Edits with at least ``n_min`` votes, before conflict resolution; sorted."""
@@ -77,7 +70,7 @@ def tally_votes(source: Sequence[str], model_outputs: Sequence[Sequence[str]]) -
     for output in model_outputs:
         for edit in extract_edits(source, output):
             votes[edit] = votes.get(edit, 0) + 1
-    return VoteTally(votes, len(model_outputs))
+    return VoteTally(votes)
 
 
 def _conflicts(a: EditSpan, b: EditSpan) -> bool:
@@ -147,25 +140,3 @@ def vote_correct(
     """Apply the quorum's surviving edits to the source in one shot."""
     return apply_edits(source, majority_vote(source, model_outputs, n_min))
 
-
-def ensemble_correct(
-    source: Sequence[str],
-    mode: EnsembleMode,
-    hp: Hyperparams = Hyperparams(),
-    taggers: Sequence[Tagger] | None = None,
-    model_outputs: Sequence[Sequence[str]] | None = None,
-    lexicon: "VerbLexicon | None" = None,
-) -> TokenSeq:
-    """Run either ensembling mode on one sentence.
-
-    AVERAGE consumes live ``taggers`` (identical vocabs); VOTE consumes the
-    members' already-corrected ``model_outputs`` and applies edits with at
-    least ``hp.n_min`` votes.
-    """
-    if mode is EnsembleMode.AVERAGE:
-        if taggers is None:
-            raise ContractError("AVERAGE mode needs taggers")
-        return average_correct(taggers, source, hp, lexicon)
-    if model_outputs is None:
-        raise ContractError("VOTE mode needs per-model pipeline outputs")
-    return vote_correct(source, model_outputs, hp.n_min)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,28 +39,24 @@ MatrixRecord = tuple[TokenSeq, TagDistribution]
 
 
 def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_matrix(fh, vocab, records)
-
-
-def _write_matrix(fh: IO[str], vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
     header = {"format": MATRIX_FORMAT, "vocab_sha256": vocab.sha256, "vocab_size": len(vocab)}
-    fh.write(json.dumps(header) + "\n")
-    for tokens, dist in records:
-        if dist.vocab_id != vocab.sha256:
-            raise FormatError(
-                f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)"
-            )
-        if dist.positions != len(tokens) + 1:
-            raise FormatError(
-                f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens"
-            )
-        record = {
-            "tokens": list(tokens),
-            "rows": [list(map(float, row)) for row in dist.rows],
-            "error_probs": [float(x) for x in dist.error_probs],
-        }
-        fh.write(json.dumps(record) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for tokens, dist in records:
+            if dist.vocab_id != vocab.sha256:
+                raise FormatError(
+                    f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)"
+                )
+            if dist.positions != len(tokens) + 1:
+                raise FormatError(
+                    f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens"
+                )
+            record = {
+                "tokens": list(tokens),
+                "rows": [list(map(float, row)) for row in dist.rows],
+                "error_probs": [float(x) for x in dist.error_probs],
+            }
+            fh.write(json.dumps(record) + "\n")
 
 
 def iter_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> Iterator[MatrixRecord]:

@@ -31,16 +31,6 @@ class TagKind(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-TRANSFORM_KINDS = frozenset(
-    {
-        TagKind.TRANSFORM_CASE,
-        TagKind.TRANSFORM_AGREEMENT,
-        TagKind.TRANSFORM_VERB,
-        TagKind.MERGE,
-        TagKind.SPLIT_HYPHEN,
-    }
-)
-
 _PAYLOAD_FREE = frozenset({TagKind.KEEP, TagKind.DELETE, TagKind.MERGE, TagKind.SPLIT_HYPHEN, TagKind.UNKNOWN})
 
 

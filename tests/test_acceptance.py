@@ -209,7 +209,8 @@ def test_criterion_5_inference_tweak_laws():
 
 def test_criterion_6_desk_scale_pipeline(desk):
     train, heldout, vocab, members = desk
-    hp = Hyperparams(n_min=2)
+    hp = Hyperparams()
+    n_min = 2
     sources = [s for s, _ in heldout]
     gold = [[extract_edits(s, t)] for s, t in heldout]
     assert len(heldout) == 50
@@ -222,7 +223,7 @@ def test_criterion_6_desk_scale_pipeline(desk):
         rep = score_corpus([extract_edits(s, o) for s, o in zip(sources, outs)], gold)
         member_scores.append(rep.f_half)
     vote_outs = [
-        vote_correct(s, [outs[i] for outs in member_outputs], hp.n_min)
+        vote_correct(s, [outs[i] for outs in member_outputs], n_min)
         for i, s in enumerate(sources)
     ]
     vote_f = score_corpus([extract_edits(s, o) for s, o in zip(sources, vote_outs)], gold).f_half

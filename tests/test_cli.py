@@ -1,12 +1,26 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gec_editkit import extract_edits, read_sentences, read_tsv_corpus, read_vocab_file, write_m2, write_sentences, write_tsv_corpus
+from gec_editkit import (
+    extract_edits,
+    format_tag,
+    read_sentences,
+    read_tsv_corpus,
+    read_vocab_file,
+    write_m2,
+    write_sentences,
+    write_tsv_corpus,
+)
 from gec_editkit.cli import main
 from gec_editkit.corpus import M2Block, M2Edit
 
 from deskdata import make_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -141,6 +155,75 @@ def test_distill_emits_only_changed_pairs(workspace, capsys):
     assert 1 <= len(pairs) <= 5
     for s, t in pairs:
         assert s != t
+
+
+@pytest.mark.parametrize("n_members, n_min", [(3, "5"), (3, "0"), (1, "2")])
+def test_out_of_range_quorum_fails_before_any_sentence(workspace, capsys, n_members, n_min):
+    tmp_path, train_tsv, eval_txt, _, targets_txt, vocab_path, _ = workspace
+    out = tmp_path / "distilled.tsv"
+    members = [x for cw in range(n_members) for x in ("--member", f"baseline={train_tsv},cw={cw}")]
+    rc = main([
+        "distill", "--input", str(eval_txt), "--output", str(out),
+        "--vocab", str(vocab_path), *members, "--n-min", n_min, "--limit", "5",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"n_min must lie in [1, {n_members}], got {n_min}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+    vote_members = [x for _ in range(n_members) for x in ("--member", str(targets_txt))]
+    vote_out = tmp_path / "vote.txt"
+    rc = main([
+        "ensemble", "--mode", "vote", "--source", str(eval_txt), "--output", str(vote_out),
+        *vote_members, "--n-min", n_min,
+    ])
+    assert rc == 1
+    assert f"n_min must lie in [1, {n_members}], got {n_min}" in capsys.readouterr().err
+    assert not vote_out.exists()
+
+
+def test_single_member_distill_modes_match_correct(workspace, capsys):
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+    spec = f"baseline={train_tsv},cw=1,sm=0.5"
+    plain = tmp_path / "plain.txt"
+    assert main([
+        "correct", "--input", str(eval_txt), "--output", str(plain),
+        "--vocab", str(vocab_path), "--tagger", spec,
+    ]) == 0
+    corrected = dict(zip(read_sentences(eval_txt), read_sentences(plain)))
+    outputs = {}
+    for mode in ("average", "vote"):
+        outputs[mode] = tmp_path / f"distilled.{mode}.tsv"
+        assert main([
+            "distill", "--input", str(eval_txt), "--output", str(outputs[mode]),
+            "--vocab", str(vocab_path), "--member", spec, "--mode", mode, "--limit", "100",
+        ]) == 0
+    assert "failed 0" in capsys.readouterr().out
+    assert outputs["average"].read_bytes() == outputs["vote"].read_bytes()
+    pairs = read_tsv_corpus(outputs["vote"])
+    assert pairs
+    for source, target in pairs:
+        assert target == corrected[source]
+
+
+def test_module_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    tsv = tmp_path / "t.tsv"
+    write_tsv_corpus(tsv, [(("he", "go"), ("he", "goes"))])
+    vocab_path = tmp_path / "v.txt"
+    module = [sys.executable, "-m", "gec_editkit.cli"]
+    done = subprocess.run(
+        [*module, "build-vocab", "--input", str(tsv), "--output", str(vocab_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "$REPLACE_goes" in [format_tag(t) for t in read_vocab_file(vocab_path).tags]
+    done = subprocess.run([*module, "--bogus"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "usage:" in done.stderr
 
 
 def test_filter_drops_identical_pairs(tmp_path):

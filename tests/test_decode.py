@@ -217,8 +217,6 @@ def test_hyperparams_validation():
         Hyperparams(mep=-0.1)
     with pytest.raises(ContractError):
         Hyperparams(max_iters=0)
-    with pytest.raises(ContractError):
-        Hyperparams(n_min=0)
 
 
 def test_tagseq_returned(vocab):

@@ -163,10 +163,9 @@ def test_tune_tie_breaks_to_lower_ac_then_mep():
 
 
 def test_tune_respects_base_hyperparams():
-    base = Hyperparams(max_iters=2, n_min=3)
+    base = Hyperparams(max_iters=2)
     result = tune_hyperparams(lambda s, ac, mep: s, [("a",)], [[[]]], trials=2, seed=1, base=base)
     assert result.best.max_iters == 2
-    assert result.best.n_min == 3
 
 
 def test_tune_contracts():

@@ -6,14 +6,12 @@ import pytest
 from gec_editkit import (
     ContractError,
     EditSpan,
-    EnsembleMode,
     Hyperparams,
     TagDistribution,
     apply_edits,
     average_correct,
     average_distributions,
     build_vocab,
-    ensemble_correct,
     extract_edits,
     majority_vote,
     run_pipeline,
@@ -187,12 +185,11 @@ def test_vote_never_invents_edits():
 def test_single_member_ensembles_match_plain_pipeline(vocab):
     pairs = [(("He", "go"), ("He", "goes")), (("I", "dog"), ("I", "like", "dog"))]
     model = train_baseline(pairs, vocab, context_width=1)
-    hp = Hyperparams(n_min=1)
+    hp = Hyperparams()
     for sentence in [("He", "go"), ("I", "dog"), ("He", "walks")]:
         single = run_pipeline(model, sentence, hp).output
         assert average_correct([model], sentence, hp) == single
-        assert ensemble_correct(sentence, EnsembleMode.AVERAGE, hp, taggers=[model]) == single
-        assert ensemble_correct(sentence, EnsembleMode.VOTE, hp, model_outputs=[single]) == single
+        assert vote_correct(sentence, [single], 1) == single
 
 
 def test_average_mode_requires_shared_vocab(vocab):
@@ -202,10 +199,3 @@ def test_average_mode_requires_shared_vocab(vocab):
     model_b = train_baseline(pairs, random_vocab(rng), context_width=1)
     with pytest.raises(ContractError):
         average_correct([model_a, model_b], ("He", "go"))
-
-
-def test_ensemble_correct_argument_contracts(vocab):
-    with pytest.raises(ContractError):
-        ensemble_correct(("a",), EnsembleMode.AVERAGE, taggers=None)
-    with pytest.raises(ContractError):
-        ensemble_correct(("a",), EnsembleMode.VOTE, model_outputs=None)
