@@ -22,11 +22,12 @@ from .corpus import (
     write_sentences,
     write_tsv_corpus,
 )
-from .decode import CorrectionResult, Hyperparams, apply_tags, run_pipeline, select_tags
+from .decode import CorrectionResult, Hyperparams, apply_tags, run_pipeline, run_pipeline_batch, select_tags
 from .distill import DistillStats, distill
 from .ensemble import (
     VoteTally,
     average_correct,
+    average_correct_batch,
     average_distributions,
     majority_vote,
     tally_votes,
@@ -45,7 +46,7 @@ from .errors import (
 from .matrix_io import read_matrix_file, write_matrix_file
 from .score import ScoreReport, SentenceScore, f_beta, score_corpus, score_sentence
 from .spans import EditSpan, TokenSeq, apply_edits, validate_tokens
-from .tagger import BaselineTagger, MatrixTagger, TagDistribution, Tagger, train_baseline
+from .tagger import BaselineTagger, MatrixTagger, TagBatch, TagDistribution, Tagger, train_baseline
 from .tags import Tag, TagKind, TagSeq, format_tag, parse_tag
 from .transforms import VerbLexicon, apply_transform, detect_transform
 from .tune import TuneResult, tune_hyperparams
@@ -73,6 +74,7 @@ __all__ = [
     "SentenceScore",
     "SpanRangeError",
     "Tag",
+    "TagBatch",
     "TagDistribution",
     "TagKind",
     "TagParseError",
@@ -88,6 +90,7 @@ __all__ = [
     "apply_tags",
     "apply_transform",
     "average_correct",
+    "average_correct_batch",
     "average_distributions",
     "build_vocab",
     "detect_transform",
@@ -105,6 +108,7 @@ __all__ = [
     "read_tsv_corpus",
     "read_vocab_file",
     "run_pipeline",
+    "run_pipeline_batch",
     "score_corpus",
     "score_sentence",
     "select_tags",

@@ -14,16 +14,14 @@ Tagger member specs (for correct/ensemble/tune/distill) take two forms::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
-from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .align import encode_tags, extract_edits
 from .corpus import (
+    atomic_output as _atomic_output,
     filter_edit_free,
     read_m2,
     read_sentences,
@@ -31,9 +29,9 @@ from .corpus import (
     write_sentences,
     write_tsv_corpus,
 )
-from .decode import Hyperparams, apply_tags, run_pipeline
+from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch
 from .distill import distill
-from .ensemble import average_correct, vote_correct
+from .ensemble import average_correct, average_correct_batch, vote_correct
 from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
@@ -45,21 +43,6 @@ from .tune import tune_hyperparams
 from .vocab import build_vocab, read_vocab_file, write_vocab_file
 
 MODES = ("average", "vote")
-
-
-@contextmanager
-def _atomic_output(path: str) -> Iterator[Path]:
-    final = Path(path)
-    parent = final.parent if str(final.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=final.name + ".", suffix=".tmp")
-    os.close(fd)
-    try:
-        yield Path(tmp)
-        os.replace(tmp, final)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def _load_lexicon(args: argparse.Namespace) -> VerbLexicon | None:
@@ -94,12 +77,17 @@ def _hp(args: argparse.Namespace) -> Hyperparams:
     return Hyperparams(args.ac, args.mep, args.max_iters)
 
 
-def _quorum(args: argparse.Namespace, n_members: int) -> int:
-    """The vote quorum: ``--n-min``, else members - 1 (at least 1).
+def _quorum(args: argparse.Namespace, n_members: int) -> int | None:
+    """The vote quorum: ``--n-min``, else members - 1 (at least 1); None when averaging.
 
     Checked here, before any sentence runs, so a bad quorum fails the command
-    instead of failing every sentence.
+    instead of failing every sentence, and a quorum given to average mode,
+    which has no use for it, is refused instead of ignored.
     """
+    if args.mode != "vote":
+        if args.n_min is not None:
+            raise ContractError(f"--n-min is the vote mode's quorum; --mode {args.mode} takes none")
+        return None
     n_min = max(1, n_members - 1) if args.n_min is None else args.n_min
     if not 1 <= n_min <= n_members:
         raise ContractError(f"n_min must lie in [1, {n_members}], got {n_min}")
@@ -146,17 +134,17 @@ def cmd_correct(args: argparse.Namespace) -> int:
     tagger = _build_tagger(args.tagger, vocab, lexicon)
     hp = _hp(args)
     sentences = read_sentences(args.input)
-    outputs = [run_pipeline(tagger, sent, hp, lexicon).output for sent in sentences]
+    outputs = [result.output for result in run_pipeline_batch(tagger, sentences, hp, lexicon)]
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, outputs)
     return 0
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    n_min = _quorum(args, len(args.member))
     lexicon = _load_lexicon(args)
     sources = read_sentences(args.source)
     if args.mode == "vote":
-        n_min = _quorum(args, len(args.member))
         member_outputs = [read_sentences(path) for path in args.member]
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
@@ -168,8 +156,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
             raise ContractError("--vocab is required in average mode")
         vocab = read_vocab_file(args.vocab)
         taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
-        hp = _hp(args)
-        corrected = [average_correct(taggers, sent, hp, lexicon) for sent in sources]
+        corrected = average_correct_batch(taggers, sources, _hp(args), lexicon)
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, corrected)
     return 0
@@ -195,8 +182,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     sources = [block.source for block in blocks]
     gold = [block.gold_edit_lists() for block in blocks]
 
-    def correct(tokens: TokenSeq, ac: float, mep: float) -> TokenSeq:
-        return run_pipeline(tagger, tokens, replace(base, ac=ac, mep=mep), lexicon).output
+    def correct(sources: Sequence[TokenSeq], ac: float, mep: float) -> list[TokenSeq]:
+        hp = replace(base, ac=ac, mep=mep)
+        return [result.output for result in run_pipeline_batch(tagger, sources, hp, lexicon)]
 
     result = tune_hyperparams(correct, sources, gold, args.trials, args.seed, base)
     print(f"ac {result.best.ac!r} mep {result.best.mep!r}")
@@ -206,7 +194,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_distill(args: argparse.Namespace) -> int:
     hp = _hp(args)
-    n_min = _quorum(args, len(args.member)) if args.mode == "vote" else None
+    n_min = _quorum(args, len(args.member))
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
     taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]

@@ -15,9 +15,12 @@ round-tripping but ignored by the scorer.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError, FormatError
 from .spans import EditSpan, TokenSeq, validate_tokens
@@ -29,6 +32,25 @@ _NONE_FIELD = "-NONE-"
 _REQUIRED_FIELD = "REQUIRED"
 _NOOP_TYPE = "noop"
 DEFAULT_EDIT_TYPE = "UNK"
+
+
+@contextmanager
+def atomic_output(path: str | Path) -> Iterator[Path]:
+    """A temporary sibling of ``path`` to write, renamed onto ``path`` on success.
+
+    On any failure the temporary file is removed and ``path`` is left as it
+    was, so a failed write leaves nothing partial behind.
+    """
+    final = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=final.name + ".", suffix=".tmp")
+    os.close(fd)
+    try:
+        yield Path(tmp)
+        os.replace(tmp, final)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _split_tokens(line: str, path: str, lineno: int) -> TokenSeq:

@@ -1,30 +1,40 @@
 """Turn tag distributions into corrections.
 
-select_tags applies the two inference tweaks before the per-position argmax:
+select_batch applies the two inference tweaks before the per-position argmax:
 extra confidence added to KEEP (trades recall for precision) and a minimum
 error probability below which corrections are suppressed, both at sentence
 level (gate on the max detection score) and at token level (demote weak
 picks).  decode_iteratively repeats predict -> select -> apply, bounded by
-max_iters, because some corrections only become expressible after others;
-run_pipeline and the averaging ensemble both decode through it.
+max_iters, because some corrections only become expressible after others.
+It works on a batch of sentences at a time, the way sequence taggers infer:
+one prediction, one validation and one vectorised selection per pass for all
+sentences not yet converged.  Every decoder (one tagger, the averaging
+ensemble, one sentence or a corpus) runs through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .spans import TokenSeq
 from .tags import KEEP, Tag, TagKind, TagSeq
-from .tagger import TagDistribution, Tagger
+from .tagger import TagBatch, TagDistribution, Tagger, predict_stack
 from .transforms import InapplicableTransformError, apply_transform
 from .vocab import TagVocab
 
 if TYPE_CHECKING:
     from .transforms import VerbLexicon
+
+# A decoding batch holds at most this many float64 elements per row array
+# (128 KiB), and at least one sentence: about 120 short desk sentences at a
+# 19-tag vocab, one at 5000 tags.  Larger batches decode no faster, but the
+# averaging ensemble's temporaries (several copies of every member's rows)
+# grow with them: 2**16 raised the desk benchmark's peak RSS by a fifth.
+BATCH_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,31 +62,40 @@ class CorrectionResult:
 
 
 def select_tags(dist: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> TagSeq:
-    """Pick one tag per position from ``dist`` under the AC/MEP tweaks.
+    """Pick one tag per position of one sentence: select_batch on a batch of one."""
+    return select_batch(TagBatch.stack([dist]), vocab, ac, mep)[0]
+
+
+def select_batch(batch: TagBatch, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> list[TagSeq]:
+    """Pick one tag per position of every sentence in ``batch`` under the AC/MEP tweaks.
 
     KEEP gets ``ac`` added to its probability before the argmax (rows are not
     re-normalized; only the argmax matters).  A chosen non-KEEP tag whose raw
     probability is below ``mep`` demotes to KEEP, and if no position's error
     probability reaches ``mep`` the whole sentence stays untouched.  The START
-    position only ever selects KEEP or APPEND.
+    position only ever selects KEEP or APPEND.  Each sentence gets the tags it
+    would get alone.
     """
-    if dist.vocab_id != vocab.sha256:
+    if batch.vocab_id != vocab.sha256:
         raise ContractError(
-            f"distribution was made for vocab {dist.vocab_id[:12]}..., decoder has {vocab.sha256[:12]}..."
+            f"distribution was made for vocab {batch.vocab_id[:12]}..., decoder has {vocab.sha256[:12]}..."
         )
-    if dist.rows.shape[1] != len(vocab):
-        raise ContractError(f"rows have width {dist.rows.shape[1]}, vocab size is {len(vocab)}")
-    n_pos = dist.positions
-    if float(dist.error_probs.max()) < mep:
-        return TagSeq([KEEP] * n_pos)
+    if batch.rows.shape[1] != len(vocab):
+        raise ContractError(f"rows have width {batch.rows.shape[1]}, vocab size is {len(vocab)}")
     keep_idx = vocab.keep_index
-    scores = dist.rows.copy()
+    rows, starts = batch.rows, batch.starts
+    scores = rows.copy()
     scores[:, keep_idx] += ac
-    scores[0, ~vocab.start_position_mask()] = -1.0
+    scores[starts] = np.where(vocab.start_position_mask(), scores[starts], -1.0)
     picks = scores.argmax(axis=1)
-    raw = dist.rows[np.arange(n_pos), picks]
-    picks[(picks != keep_idx) & (raw < mep)] = keep_idx
-    return TagSeq([vocab.tags[i] for i in picks])
+    picks[(picks != keep_idx) & (rows[np.arange(len(picks)), picks] < mep)] = keep_idx
+    flat = [vocab.tags[i] for i in picks.tolist()]
+    bounds = [*starts.tolist(), len(flat)]
+    gated = (np.maximum.reduceat(batch.error_probs, starts) < mep).tolist()
+    return [
+        TagSeq([KEEP] * (hi - lo) if gate else flat[lo:hi])
+        for lo, hi, gate in zip(bounds, bounds[1:], gated)
+    ]
 
 
 def apply_tags(
@@ -131,27 +150,75 @@ def apply_tags(
 
 
 def decode_iteratively(
-    predict: Callable[[TokenSeq], TagDistribution],
+    predict_batch: Callable[[list[TokenSeq]], TagBatch],
     vocab: TagVocab,
-    tokens: Sequence[str],
+    sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
     lexicon: "VerbLexicon | None" = None,
-) -> CorrectionResult:
-    """Predict, select, apply, repeat: the one decoding loop.
+) -> list[CorrectionResult]:
+    """Predict, select, apply, repeat: the one decoding loop, one result per sentence.
 
-    Stops as soon as a pass selects KEEP everywhere, else after
-    ``hp.max_iters`` passes.  ``predict`` maps the current sentence to a
-    distribution over ``vocab``: one tagger's, or an ensemble's average.
+    Sentences go in chunks of at most BATCH_ELEMENTS / len(vocab) rows as
+    given (appends can lengthen them a little on later passes).  Each pass
+    predicts every sentence of the chunk still active in one call, selects
+    their tags in one step and applies them sentence by sentence.  A sentence
+    leaves the active set as soon as a pass selects KEEP everywhere, else
+    after ``hp.max_iters`` passes.  ``predict_batch`` maps sentences to
+    their stacked distributions over ``vocab``: one tagger's, or an
+    ensemble's average.
     """
-    cur = tuple(tokens)
-    history: list[TagSeq] = []
-    for _ in range(hp.max_iters):
-        tags = select_tags(predict(cur), vocab, hp.ac, hp.mep)
-        history.append(tags)
-        if tags.all_keep:
-            break
-        cur = apply_tags(cur, tags, lexicon)
-    return CorrectionResult(cur, len(history), tuple(history))
+    cur = [tuple(tokens) for tokens in sentences]
+    history: list[list[TagSeq]] = [[] for _ in cur]
+    for active in _chunks(cur, max(1, BATCH_ELEMENTS // len(vocab))):
+        for _ in range(hp.max_iters):
+            batch = predict_batch([cur[i] for i in active])
+            _check_layout(batch, [len(cur[i]) for i in active])
+            still = []
+            for i, tags in zip(active, select_batch(batch, vocab, hp.ac, hp.mep)):
+                history[i].append(tags)
+                if not tags.all_keep:
+                    cur[i] = apply_tags(cur[i], tags, lexicon)
+                    still.append(i)
+            if not still:
+                break
+            active = still
+    return [CorrectionResult(out, len(tags), tuple(tags)) for out, tags in zip(cur, history)]
+
+
+def _check_layout(batch: TagBatch, n_tokens: list[int]) -> None:
+    starts = [0]
+    for n in n_tokens:
+        starts.append(starts[-1] + n + 1)
+    if batch.rows.shape[0] != starts.pop() or batch.starts.tolist() != starts:
+        raise ContractError(f"predicted rows do not split into sentences of {n_tokens} tokens (need tokens + 1 each)")
+
+
+def _chunks(sentences: list[TokenSeq], max_rows: int) -> Iterator[list[int]]:
+    """Indices of ``sentences`` in runs of at most ``max_rows`` rows (at least one sentence)."""
+    chunk: list[int] = []
+    rows = 0
+    for i, tokens in enumerate(sentences):
+        if chunk and rows + len(tokens) + 1 > max_rows:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(i)
+        rows += len(tokens) + 1
+    if chunk:
+        yield chunk
+
+
+def run_pipeline_batch(
+    tagger: Tagger,
+    sentences: Sequence[Sequence[str]],
+    hp: Hyperparams = Hyperparams(),
+    lexicon: "VerbLexicon | None" = None,
+) -> list[CorrectionResult]:
+    """Iteratively correct every sentence with one tagger (see decode_iteratively).
+
+    Deterministic for a fixed tagger and input; each result is what
+    run_pipeline gives for that sentence alone.
+    """
+    return decode_iteratively(lambda active: predict_stack(tagger, active), tagger.vocab, sentences, hp, lexicon)
 
 
 def run_pipeline(
@@ -160,8 +227,5 @@ def run_pipeline(
     hp: Hyperparams = Hyperparams(),
     lexicon: "VerbLexicon | None" = None,
 ) -> CorrectionResult:
-    """Iteratively correct ``tokens`` with one tagger (see decode_iteratively).
-
-    Deterministic for a fixed tagger and input.
-    """
-    return decode_iteratively(tagger.predict, tagger.vocab, tokens, hp, lexicon)
+    """Iteratively correct one sentence with one tagger: a batch of one."""
+    return run_pipeline_batch(tagger, [tokens], hp, lexicon)[0]

@@ -9,7 +9,7 @@ is applied when at least ``n_min`` members propose the identical
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -18,19 +18,21 @@ from .align import extract_edits
 from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, apply_edits
-from .tagger import TagDistribution, Tagger
+from .tagger import TagBatch, TagDistribution, Tagger, predict_stack
 
 if TYPE_CHECKING:
     from .transforms import VerbLexicon
 
 
-def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
+def average_distributions(dists: Sequence[TagDistribution | TagBatch]) -> TagDistribution | TagBatch:
     """Element-wise mean of rows and error probabilities.
 
     Members must agree on vocabulary and shape (span voting is the mode that
-    tolerates mixed vocabularies).  Each element is averaged as
-    min + sum(sorted deviations)/k, which makes the result independent of
-    member order and reproduces a k-copy ensemble's distribution exactly.
+    tolerates mixed vocabularies); batches must also split their rows into the
+    same sentences.  Each element is averaged as min + sum(sorted
+    deviations)/k, which makes the result independent of member order and
+    reproduces a k-copy ensemble's distribution exactly.  The mean of batches
+    is, sentence by sentence, the mean of their distributions.
     """
     if not dists:
         raise ContractError("need at least one distribution")
@@ -40,9 +42,11 @@ def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
             raise ContractError(f"member {i} uses vocab {d.vocab_id[:12]}..., member 0 uses {head.vocab_id[:12]}...")
         if d.rows.shape != head.rows.shape:
             raise ContractError(f"member {i} has shape {d.rows.shape}, member 0 has {head.rows.shape}")
+        if isinstance(d, TagBatch) and not np.array_equal(d.starts, head.starts):
+            raise ContractError(f"member {i} splits its rows into other sentences than member 0")
     rows = _orderless_mean([d.rows for d in dists])
     err = _orderless_mean([d.error_probs for d in dists])
-    return TagDistribution(head.vocab_id, np.clip(rows, 0.0, 1.0), np.clip(err, 0.0, 1.0))
+    return replace(head, rows=np.clip(rows, 0.0, 1.0), error_probs=np.clip(err, 0.0, 1.0))
 
 
 def _orderless_mean(arrays: list[np.ndarray]) -> np.ndarray:
@@ -112,13 +116,13 @@ def majority_vote(
     return _resolve_conflicts(survivors)
 
 
-def average_correct(
+def average_correct_batch(
     taggers: Sequence[Tagger],
-    tokens: Sequence[str],
+    sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
     lexicon: "VerbLexicon | None" = None,
-) -> TokenSeq:
-    """Iterative pipeline over the member-averaged distribution each pass."""
+) -> list[TokenSeq]:
+    """Iterative pipeline over the member-averaged distribution each pass, per sentence."""
     if not taggers:
         raise ContractError("need at least one tagger")
     vocab = taggers[0].vocab
@@ -126,10 +130,20 @@ def average_correct(
         if t.vocab.sha256 != vocab.sha256:
             raise ContractError(f"member {i} uses a different tag vocabulary; averaging requires identical vocabs")
 
-    def predict(cur: TokenSeq) -> TagDistribution:
-        return average_distributions([t.predict(cur) for t in taggers])
+    def predict_batch(active: list[TokenSeq]) -> TagBatch:
+        return average_distributions([predict_stack(t, active) for t in taggers])
 
-    return decode_iteratively(predict, vocab, tokens, hp, lexicon).output
+    return [r.output for r in decode_iteratively(predict_batch, vocab, sentences, hp, lexicon)]
+
+
+def average_correct(
+    taggers: Sequence[Tagger],
+    tokens: Sequence[str],
+    hp: Hyperparams = Hyperparams(),
+    lexicon: "VerbLexicon | None" = None,
+) -> TokenSeq:
+    """Iterative pipeline over the member-averaged distribution: a batch of one."""
+    return average_correct_batch(taggers, [tokens], hp, lexicon)[0]
 
 
 def vote_correct(

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .corpus import atomic_output
 from .errors import ContractError, EditKitError, FormatError
 from .spans import TokenSeq, validate_tokens
 from .tagger import TagDistribution
@@ -39,8 +40,9 @@ MatrixRecord = tuple[TokenSeq, TagDistribution]
 
 
 def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
+    """Write ``records`` as a v1 matrix file; a bad record leaves ``path`` untouched."""
     header = {"format": MATRIX_FORMAT, "vocab_sha256": vocab.sha256, "vocab_size": len(vocab)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         for tokens, dist in records:
             if dist.vocab_id != vocab.sha256:

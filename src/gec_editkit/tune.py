@@ -16,7 +16,8 @@ from .errors import ContractError
 from .score import ScoreReport, score_corpus
 from .spans import EditSpan, TokenSeq
 
-TweakedCorrector = Callable[[TokenSeq, float, float], Sequence[str]]
+# Corrects a whole corpus under (ac, mep): one output sentence per source.
+TweakedCorrector = Callable[[Sequence[TokenSeq], float, float], Sequence[Sequence[str]]]
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ def tune_hyperparams(
 ) -> TuneResult:
     """Search (ac, mep) in [0,1]^2 for the best corpus F0.5.
 
+    ``correct_fn(sources, ac, mep)`` corrects the whole corpus per trial, so a
+    batched decoder serves all sources of a trial at once.
+
     ``trials`` counts total evaluations including the fixed (0, 0) baseline
     trial; the remaining trials sample uniformly with the given seed.  Ties
     resolve to the lower ac, then the lower mep, so results are reproducible
@@ -60,9 +64,10 @@ def tune_hyperparams(
     evaluated: list[TuneTrial] = []
     best: TuneTrial | None = None
     for ac, mep in candidates:
-        hyp_edits = [
-            extract_edits(src, correct_fn(src, ac, mep)) for src in sources
-        ]
+        outputs = correct_fn(sources, ac, mep)
+        if len(outputs) != len(sources):
+            raise ContractError(f"corrector gave {len(outputs)} outputs for {len(sources)} sources")
+        hyp_edits = [extract_edits(src, out) for src, out in zip(sources, outputs)]
         report = score_corpus(hyp_edits, gold)
         trial = TuneTrial(ac, mep, report)
         evaluated.append(trial)

@@ -27,6 +27,7 @@ from gec_editkit import (
     read_tsv_corpus,
     read_vocab_file,
     run_pipeline,
+    run_pipeline_batch,
     score_corpus,
     score_sentence,
     select_tags,
@@ -233,8 +234,8 @@ def test_criterion_6_desk_scale_pipeline(desk):
     dev_sources = [s for s, _ in train[:60]]
     dev_gold = [[extract_edits(s, t)] for s, t in train[:60]]
 
-    def correct(tokens, ac, mep):
-        return run_pipeline(members[1], tokens, Hyperparams(ac=ac, mep=mep)).output
+    def correct(sources, ac, mep):
+        return [r.output for r in run_pipeline_batch(members[1], sources, Hyperparams(ac=ac, mep=mep))]
 
     result = tune_hyperparams(correct, dev_sources, dev_gold, trials=20, seed=7)
     untuned_f = result.trials[0].report.f_half

@@ -184,6 +184,71 @@ def test_out_of_range_quorum_fails_before_any_sentence(workspace, capsys, n_memb
     assert not vote_out.exists()
 
 
+@pytest.mark.parametrize("command", ["ensemble", "distill"])
+def test_average_mode_refuses_a_quorum(workspace, capsys, command):
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+    out = tmp_path / "out.txt"
+    io_flags = ["--source", str(eval_txt)] if command == "ensemble" else ["--input", str(eval_txt), "--limit", "5"]
+    rc = main([
+        command, "--mode", "average", *io_flags, "--output", str(out), "--vocab", str(vocab_path),
+        "--member", f"baseline={train_tsv}", "--n-min", "7",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--n-min is the vote mode's quorum" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def test_batched_commands_match_per_sentence_decoding(workspace, capsys):
+    import gec_editkit as gk
+
+    tmp_path, train_tsv, eval_txt, gold_m2, _, vocab_path, _ = workspace
+    vocab = read_vocab_file(vocab_path)
+    train = read_tsv_corpus(train_tsv)
+    sentences = read_sentences(eval_txt)
+    specs = [f"baseline={train_tsv},cw={cw},sm=0.5" for cw in (0, 1, 2)]
+    models = [gk.train_baseline(train, vocab, cw, 0.5) for cw in (0, 1, 2)]
+    hp_flags = ["--ac", "0.1", "--mep", "0.2", "--max-iters", "3"]
+    hp = gk.Hyperparams(0.1, 0.2, 3)
+
+    def expect(name, outputs):
+        path = tmp_path / f"expected.{name}.txt"
+        write_sentences(path, outputs)
+        return path.read_bytes()
+
+    out = tmp_path / "correct.txt"
+    assert main([
+        "correct", "--input", str(eval_txt), "--output", str(out), "--vocab", str(vocab_path),
+        "--tagger", specs[1], *hp_flags,
+    ]) == 0
+    assert out.read_bytes() == expect("correct", [gk.run_pipeline(models[1], s, hp).output for s in sentences])
+
+    out = tmp_path / "average.txt"
+    members = [x for spec in specs for x in ("--member", spec)]
+    assert main([
+        "ensemble", "--mode", "average", "--source", str(eval_txt), "--output", str(out),
+        "--vocab", str(vocab_path), *members, *hp_flags,
+    ]) == 0
+    assert out.read_bytes() == expect("average", [gk.average_correct(models, s, hp) for s in sentences])
+
+    capsys.readouterr()
+    assert main([
+        "tune", "--gold", str(gold_m2), "--vocab", str(vocab_path), "--tagger", specs[1],
+        "--trials", "8", "--seed", "7", "--max-iters", "3",
+    ]) == 0
+    blocks = gk.read_m2(gold_m2)
+
+    def per_sentence(sources, ac, mep):
+        return [gk.run_pipeline(models[1], s, gk.Hyperparams(ac, mep, 3)).output for s in sources]
+
+    result = gk.tune_hyperparams(
+        per_sentence, [b.source for b in blocks], [b.gold_edit_lists() for b in blocks], 8, 7, gk.Hyperparams(max_iters=3)
+    )
+    assert capsys.readouterr().out == f"ac {result.best.ac!r} mep {result.best.mep!r}\n{result.report.summary()}\n"
+
+
 def test_single_member_distill_modes_match_correct(workspace, capsys):
     tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
     spec = f"baseline={train_tsv},cw=1,sm=0.5"

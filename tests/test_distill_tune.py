@@ -103,7 +103,7 @@ def run_tune(correct_fn, sources, gold, trials, seed):
 
 
 def test_tune_single_trial_returns_baseline_pair():
-    result = run_tune(lambda s, ac, mep: s, [("a",)], [[[]]], trials=1, seed=0)
+    result = run_tune(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=1, seed=0)
     assert (result.best.ac, result.best.mep) == (0.0, 0.0)
     assert len(result.trials) == 1
 
@@ -112,10 +112,10 @@ def test_tune_never_underperforms_untuned():
     # the corrector is perfect untweaked; any tweak can only demote true edits
     target = ("a", "B", "c")
 
-    def corrector(tokens, ac, mep):
+    def corrector(sources, ac, mep):
         if ac > 0.5 or mep > 0.5:
-            return tokens
-        return target
+            return sources
+        return [target]
 
     gold_edits = [[[EditSpan(1, 2, ("B",))]]]
     result = run_tune(corrector, [("a", "b", "c")], gold_edits, trials=20, seed=11)
@@ -131,11 +131,11 @@ def test_tune_finds_mep_that_removes_false_positives():
     good = EditSpan(0, 1, ("X",))
     bad1, bad2 = EditSpan(2, 3, ("q",)), EditSpan(4, 4, ("r",))
 
-    def corrector(tokens, ac, mep):
+    def corrector(sources, ac, mep):
         edits = [good] if mep >= 0.5 else [good, bad1, bad2]
         from gec_editkit import apply_edits
 
-        return apply_edits(tokens, edits)
+        return [apply_edits(tokens, edits) for tokens in sources]
 
     gold = [[[good]]]
     result = run_tune(corrector, [("a", "b", "c", "d", "e")], gold, trials=40, seed=5)
@@ -144,8 +144,8 @@ def test_tune_finds_mep_that_removes_false_positives():
 
 
 def test_tune_deterministic_for_fixed_seed():
-    def corrector(tokens, ac, mep):
-        return tokens if ac + mep > 1.0 else tokens + ("x",)
+    def corrector(sources, ac, mep):
+        return [tokens if ac + mep > 1.0 else tokens + ("x",) for tokens in sources]
 
     sources = [("a",), ("b", "c")]
     gold = [[[EditSpan(1, 1, ("x",))]], [[]]]
@@ -158,18 +158,20 @@ def test_tune_deterministic_for_fixed_seed():
 
 def test_tune_tie_breaks_to_lower_ac_then_mep():
     # every trial scores identically; the (0,0) baseline must win
-    result = run_tune(lambda s, ac, mep: s, [("a", "b")], [[[]]], trials=15, seed=3)
+    result = run_tune(lambda sources, ac, mep: sources, [("a", "b")], [[[]]], trials=15, seed=3)
     assert (result.best.ac, result.best.mep) == (0.0, 0.0)
 
 
 def test_tune_respects_base_hyperparams():
     base = Hyperparams(max_iters=2)
-    result = tune_hyperparams(lambda s, ac, mep: s, [("a",)], [[[]]], trials=2, seed=1, base=base)
+    result = tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=2, seed=1, base=base)
     assert result.best.max_iters == 2
 
 
 def test_tune_contracts():
     with pytest.raises(ContractError):
-        tune_hyperparams(lambda s, ac, mep: s, [("a",)], [[[]]], trials=0, seed=1)
+        tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=0, seed=1)
     with pytest.raises(ContractError):
-        tune_hyperparams(lambda s, ac, mep: s, [("a",)], [[[]], [[]]], trials=1, seed=1)
+        tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]], [[]]], trials=1, seed=1)
+    with pytest.raises(ContractError):
+        tune_hyperparams(lambda sources, ac, mep: sources[:1], [("a",), ("b",)], [[[]], [[]]], trials=1, seed=1)

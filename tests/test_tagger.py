@@ -304,6 +304,23 @@ def test_matrix_write_rejects_foreign_records(tmp_path, small_vocab):
         write_matrix_file(tmp_path / "m.jsonl", small_vocab, [(("one",), short)])
 
 
+def test_matrix_write_failure_leaves_no_partial_file(tmp_path, small_vocab):
+    rng = random.Random(82)
+    good = (("a",), random_distribution(rng, small_vocab, 1))
+    bad = (("one",), random_distribution(rng, small_vocab, 2))
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(FormatError, match="3 rows for 1 tokens"):
+        write_matrix_file(path, small_vocab, [good, bad])
+    assert list(tmp_path.iterdir()) == []
+
+    write_matrix_file(path, small_vocab, [good])
+    before = path.read_bytes()
+    with pytest.raises(FormatError):
+        write_matrix_file(path, small_vocab, [good, bad])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_unicode_tokens_round_trip(tmp_path, small_vocab):
     rng = random.Random(81)
     tokens = ("café", "naïve", "日本語", "ёж")
