@@ -1,29 +1,10 @@
 """Build script for the optional compiled alignment kernel.
 
-The package works without the extension (a pure-Python kernel is selected at
-import time), so a failed or skipped compile must not break installation.
-Set GEC_EDITKIT_SKIP_EXT=1 to force a pure-Python install.
+The package works without the extension (the pure-Python kernel is selected
+at import time), so ``optional=True`` turns a failed compile into a warning
+and a working pure-Python install.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-ext_modules = []
-if cythonize is not None and not os.environ.get("GEC_EDITKIT_SKIP_EXT"):
-    ext_modules = cythonize(
-        [
-            Extension(
-                "gec_editkit._levenshtein_cy",
-                ["src/gec_editkit/_levenshtein_cy.pyx"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("gec_editkit._levenshtein_c", ["src/gec_editkit/_levenshtein.c"], optional=True)])

@@ -1,8 +1,9 @@
 """Pure-Python Levenshtein kernel (fallback for the compiled extension).
 
 Operates on integer id sequences; token interning happens in ``align``.
-The compiled twin in ``_levenshtein_cy`` implements the exact same DP and
-backtrace preferences, so both backends produce identical op streams.
+This is the reference: the compiled twin in ``_levenshtein.c`` (module
+``_levenshtein_c``) implements the exact same DP, backtrace preferences and
+op codes, so both backends produce identical op streams.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The Levenshtein kernel is the hot loop of every corpus-scale operation
 (vocabulary building, baseline training, span voting, scoring), so it lives
-in a compiled extension when one is built; otherwise the pure-Python twin in
-``_levenshtein`` runs.  Both return one op code per alignment step, and this
-module reads those codes directly.
+in the compiled extension ``_levenshtein_c`` (built from ``_levenshtein.c``)
+when one is built; otherwise the pure-Python twin in ``_levenshtein`` runs.
+Both return one op code per alignment step, and this module reads those
+codes directly.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ if TYPE_CHECKING:
     from .transforms import VerbLexicon
 
 try:
-    from . import _levenshtein_cy as _kernel  # type: ignore[no-redef]
+    from . import _levenshtein_c as _kernel  # type: ignore[no-redef]
 
-    _BACKEND = "cython"
+    _BACKEND = "c"
 except ImportError:
     _kernel = _levenshtein
     _BACKEND = "python"
 
 
 def alignment_backend() -> str:
-    """Name of the kernel selected at import: "cython" or "python"."""
+    """Name of the kernel selected at import: "c" or "python"."""
     return _BACKEND
 
 

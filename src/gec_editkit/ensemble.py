@@ -52,8 +52,9 @@ def average_distributions(dists: Sequence[TagDistribution | TagBatch]) -> TagDis
 def _orderless_mean(arrays: list[np.ndarray]) -> np.ndarray:
     stack = np.stack(arrays)
     base = stack.min(axis=0)
-    deviations = np.sort(stack - base, axis=0)
-    return base + deviations.sum(axis=0) / len(arrays)
+    stack -= base
+    stack.sort(axis=0)
+    return base + stack.sum(axis=0) / len(arrays)
 
 
 @dataclass(frozen=True)

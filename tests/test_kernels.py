@@ -1,13 +1,15 @@
 """The compiled and pure-Python kernels must be interchangeable.
 
-When the package was installed without its extension, the tracked
-``_levenshtein_cy.c`` is compiled into a temporary directory with the system
-C compiler, so the kernels are compared wherever a compiler and the
-interpreter headers exist.
+The compiled kernel is built with the package's own recipe,
+``setup.py build_ext``, into a temporary directory, so the kernels are
+compared wherever a C compiler and the interpreter headers exist.
 """
 
+import importlib
 import importlib.util
+import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,32 +21,27 @@ import pytest
 from gec_editkit import _levenshtein
 from gec_editkit.align import alignment_backend
 
-try:
-    from gec_editkit import _levenshtein_cy as PACKAGE_EXTENSION
-except ImportError:
-    PACKAGE_EXTENSION = None
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
-def cy(tmp_path_factory):
-    if PACKAGE_EXTENSION is not None:
-        return PACKAGE_EXTENSION
-    compiler = shutil.which("cc") or shutil.which("gcc")
+def compiled(tmp_path_factory):
+    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     include = sysconfig.get_paths()["include"]
-    if compiler is None or not Path(include, "Python.h").is_file():
+    if shutil.which(shlex.split(compiler)[0]) is None or not Path(include, "Python.h").is_file():
         pytest.skip("no C compiler or no Python.h to build the compiled kernel")
-    source = Path(_levenshtein.__file__).with_name("_levenshtein_cy.c")
-    out = tmp_path_factory.mktemp("kernel") / ("_levenshtein_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run(
-        [compiler, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(out)],
-        check=True, timeout=300,
+    out = tmp_path_factory.mktemp("kernel")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "-b", str(out), "-t", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
-    spec = importlib.util.spec_from_file_location("gec_editkit._levenshtein_cy", out)
+    built = out / "gec_editkit" / ("_levenshtein_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # The extension is optional, so a failed compile still exits 0: look for the file.
+    if not built.is_file():
+        pytest.fail(f"setup.py build_ext did not build the kernel:\n{build.stdout}\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("gec_editkit._levenshtein_c", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # Cython registers the module in sys.modules while executing it; take it
-    # out again so the rest of the session still sees a package without it.
-    sys.modules.pop(spec.name, None)
     return module
 
 
@@ -52,8 +49,8 @@ def random_ids(rng, max_len=40):
     return [rng.randrange(6) for _ in range(rng.randint(0, max_len))]
 
 
-def test_op_constants_agree(cy):
-    assert (cy.OP_MATCH, cy.OP_SUBSTITUTE, cy.OP_DELETE, cy.OP_INSERT) == (
+def test_op_constants_agree(compiled):
+    assert (compiled.OP_MATCH, compiled.OP_SUBSTITUTE, compiled.OP_DELETE, compiled.OP_INSERT) == (
         _levenshtein.OP_MATCH,
         _levenshtein.OP_SUBSTITUTE,
         _levenshtein.OP_DELETE,
@@ -61,20 +58,44 @@ def test_op_constants_agree(cy):
     )
 
 
-def test_backends_produce_identical_op_streams(cy):
+def test_backends_produce_identical_op_streams(compiled):
     rng = random.Random(424242)
     for _ in range(1500):
         src, tgt = random_ids(rng), random_ids(rng)
-        assert cy.backtrace_ops(src, tgt) == _levenshtein.backtrace_ops(src, tgt)
+        assert compiled.backtrace_ops(src, tgt) == _levenshtein.backtrace_ops(src, tgt)
 
 
-def test_backends_agree_on_edges(cy):
+def test_backends_agree_on_edges(compiled):
     for src, tgt in [([], []), ([1], []), ([], [1]), ([1, 2, 3], [1, 2, 3]), ([1] * 50, [2] * 50)]:
-        assert cy.backtrace_ops(src, tgt) == _levenshtein.backtrace_ops(src, tgt)
+        assert compiled.backtrace_ops(src, tgt) == _levenshtein.backtrace_ops(src, tgt)
 
 
-@pytest.mark.skipif(PACKAGE_EXTENSION is None, reason="the package was installed without its extension")
-def test_compiled_backend_selected_by_default():
-    assert alignment_backend() == "cython"
+@pytest.mark.parametrize(
+    "src, tgt, error",
+    [
+        (["x"], [1], TypeError),
+        ([1], [1.5], TypeError),
+        (None, [1], TypeError),
+        ([1], 7, TypeError),
+        ([2**70], [1], OverflowError),
+    ],
+    ids=["str-id", "float-id", "none-source", "int-target", "huge-id"],
+)
+def test_compiled_kernel_rejects_bad_ids(compiled, src, tgt, error):
+    with pytest.raises(error):
+        compiled.backtrace_ops(src, tgt)
 
 
+def test_compiled_kernel_checks_its_argument_count(compiled):
+    with pytest.raises(TypeError):
+        compiled.backtrace_ops([1])
+
+
+def test_backend_follows_the_extension():
+    try:
+        importlib.import_module("gec_editkit._levenshtein_c")
+    except ImportError:
+        expected = "python"
+    else:
+        expected = "c"
+    assert alignment_backend() == expected
