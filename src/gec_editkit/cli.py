@@ -29,14 +29,16 @@ from .corpus import (
     write_sentences,
     write_tsv_corpus,
 )
-from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch
+# No command calls run_pipeline any more; the name stays in this module because
+# perfbench's tracer tests wrap and restore it here.
+from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch  # noqa: F401
 from .distill import distill
-from .ensemble import average_correct, average_correct_batch, vote_correct
+from .ensemble import average_correct_batch, vote_correct
 from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
 from .spans import TokenSeq
-from .tagger import MatrixTagger, Tagger, train_baseline
+from .tagger import BaselineTagger, MatrixTagger, Tagger, train_baselines
 from .tags import format_tag, parse_tag
 from .transforms import VerbLexicon
 from .tune import tune_hyperparams
@@ -49,28 +51,58 @@ def _load_lexicon(args: argparse.Namespace) -> VerbLexicon | None:
     return VerbLexicon.from_path(args.lexicon) if args.lexicon else None
 
 
-def _build_tagger(spec: str, vocab, lexicon: VerbLexicon | None) -> Tagger:
+def _parse_spec(spec: str) -> tuple[str, tuple[int, float] | None]:
+    """``(path, (context_width, smoothing))`` of a baseline spec, ``(path, None)`` of a matrix spec."""
     kind, sep, rest = spec.partition("=")
     if not sep or not rest:
         raise ContractError(f"bad tagger spec {spec!r}: expected matrix=PATH or baseline=PATH[,cw=N][,sm=X]")
     if kind == "matrix":
-        return MatrixTagger.from_records(vocab, read_matrix_file(rest, vocab))
-    if kind == "baseline":
-        parts = rest.split(",")
-        context_width, smoothing = 1, 1.0
-        for opt in parts[1:]:
-            key, _, value = opt.partition("=")
-            if key not in ("cw", "sm"):
-                raise ContractError(f"unknown baseline option {key!r} in {spec!r}")
-            try:
-                if key == "cw":
-                    context_width = int(value)
-                else:
-                    smoothing = float(value)
-            except ValueError:
-                raise ContractError(f"bad numeric option {opt!r} in tagger spec {spec!r}") from None
-        return train_baseline(read_tsv_corpus(parts[0]), vocab, context_width, smoothing, lexicon)
-    raise ContractError(f"unknown tagger kind {kind!r} in {spec!r}")
+        return rest, None
+    if kind != "baseline":
+        raise ContractError(f"unknown tagger kind {kind!r} in {spec!r}")
+    parts = rest.split(",")
+    context_width, smoothing = 1, 1.0
+    for opt in parts[1:]:
+        key, _, value = opt.partition("=")
+        if key not in ("cw", "sm"):
+            raise ContractError(f"unknown baseline option {key!r} in {spec!r}")
+        try:
+            if key == "cw":
+                context_width = int(value)
+            else:
+                smoothing = float(value)
+        except ValueError:
+            raise ContractError(f"bad numeric option {opt!r} in tagger spec {spec!r}") from None
+    BaselineTagger.check_shape(context_width, smoothing)
+    return parts[0], (context_width, smoothing)
+
+
+def _build_taggers(specs: Sequence[str], vocab, lexicon: VerbLexicon | None) -> list[Tagger]:
+    """One tagger per spec, in spec order.
+
+    Every spec is parsed before any file is read.  Baseline members that
+    share a training TSV are trained together: the file is read and encoded
+    once for all of them.
+    """
+    parsed = [_parse_spec(spec) for spec in specs]
+    taggers: list[Tagger | None] = [None] * len(parsed)
+    baselines: dict[str, list[int]] = {}
+    for i, (path, shape) in enumerate(parsed):
+        if shape is None:
+            taggers[i] = MatrixTagger.from_records(vocab, read_matrix_file(path, vocab))
+        else:
+            baselines.setdefault(path, []).append(i)
+    for path, members in baselines.items():
+        models = train_baselines(read_tsv_corpus(path), vocab, [parsed[i][1] for i in members], lexicon)
+        for i, model in zip(members, models):
+            taggers[i] = model
+    return taggers
+
+
+def _at_least_one(name: str, value: int) -> None:
+    """Refuse a count below 1 before the command reads or trains anything."""
+    if value < 1:
+        raise ContractError(f"{name} must be >= 1, got {value}")
 
 
 def _hp(args: argparse.Namespace) -> Hyperparams:
@@ -131,7 +163,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
-    tagger = _build_tagger(args.tagger, vocab, lexicon)
+    (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
     hp = _hp(args)
     sentences = read_sentences(args.input)
     outputs = [result.output for result in run_pipeline_batch(tagger, sentences, hp, lexicon)]
@@ -155,7 +187,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         if not args.vocab:
             raise ContractError("--vocab is required in average mode")
         vocab = read_vocab_file(args.vocab)
-        taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
+        taggers = _build_taggers(args.member, vocab, lexicon)
         corrected = average_correct_batch(taggers, sources, _hp(args), lexicon)
     with _atomic_output(args.output) as tmp:
         write_sentences(tmp, corrected)
@@ -174,9 +206,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    _at_least_one("trials", args.trials)
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
-    tagger = _build_tagger(args.tagger, vocab, lexicon)
+    (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
     base = Hyperparams(max_iters=args.max_iters)
     blocks = read_m2(args.gold)
     sources = [block.source for block in blocks]
@@ -195,17 +228,18 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_distill(args: argparse.Namespace) -> int:
     hp = _hp(args)
     n_min = _quorum(args, len(args.member))
+    _at_least_one("limit", args.limit)
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
-    taggers = [_build_tagger(spec, vocab, lexicon) for spec in args.member]
+    taggers = _build_taggers(args.member, vocab, lexicon)
 
-    def correct_one(tokens: TokenSeq) -> TokenSeq:
+    def correct(sources: Sequence[TokenSeq]) -> list[TokenSeq]:
         if args.mode == "average":
-            return average_correct(taggers, tokens, hp, lexicon)
-        outputs = [run_pipeline(tagger, tokens, hp, lexicon).output for tagger in taggers]
-        return vote_correct(tokens, outputs, n_min)
+            return average_correct_batch(taggers, sources, hp, lexicon)
+        member_outputs = [[r.output for r in run_pipeline_batch(tagger, sources, hp, lexicon)] for tagger in taggers]
+        return [vote_correct(source, row, n_min) for source, row in zip(sources, zip(*member_outputs))]
 
-    pairs, stats = distill(correct_one, read_sentences(args.input), args.limit)
+    pairs, stats = distill(correct, read_sentences(args.input), args.limit)
     with _atomic_output(args.output) as tmp:
         write_tsv_corpus(tmp, pairs)
     print(stats.summary())

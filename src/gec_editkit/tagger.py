@@ -181,9 +181,14 @@ class BaselineTagger:
     counts: dict[tuple[str, ...], dict[int, int]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.context_width < 0:
+        self.check_shape(self.context_width, self.smoothing)
+
+    @staticmethod
+    def check_shape(context_width: int, smoothing: float) -> None:
+        """Refuse a window width or smoothing no BaselineTagger can have."""
+        if context_width < 0:
             raise ContractError("context_width must be >= 0")
-        if not self.smoothing > 0.0:
+        if not smoothing > 0.0:
             raise ContractError("smoothing must be positive so unseen contexts stay normalized")
 
     def _rows(self, sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +218,34 @@ class BaselineTagger:
         return TagBatch(self.vocab.sha256, *self._rows(sentences), starts)
 
 
+def train_baselines(
+    pairs: Iterable[tuple[TokenSeq, TokenSeq]],
+    vocab: TagVocab,
+    shapes: Sequence[tuple[int, float]],
+    lexicon: "VerbLexicon | None" = None,
+) -> list[BaselineTagger]:
+    """Fit one BaselineTagger per ``(context_width, smoothing)`` in ``shapes`` on the same pairs.
+
+    Tags come from running the encoder to convergence on each pair (so the
+    models also see the intermediate sentences they will encounter during
+    iterative decoding); tags outside ``vocab`` count as UNKNOWN.  Each pair
+    is encoded once and each pass is added to every model's counts as it is
+    produced, so several models cost one encoding and no passes are kept.
+    """
+    from .align import encode_passes
+
+    models = [BaselineTagger(vocab, context_width, smoothing, {}) for context_width, smoothing in shapes]
+    for source, target in pairs:
+        for cur, tags in encode_passes(source, target, lexicon):
+            indices = [vocab.index_of(tag) for tag in tags]
+            for model in models:
+                counts = model.counts
+                for key, idx in zip(_context_keys(cur, model.context_width), indices):
+                    slot = counts.setdefault(key, {})
+                    slot[idx] = slot.get(idx, 0) + 1
+    return models
+
+
 def train_baseline(
     pairs: Iterable[tuple[TokenSeq, TokenSeq]],
     vocab: TagVocab,
@@ -220,23 +253,8 @@ def train_baseline(
     smoothing: float = 1.0,
     lexicon: "VerbLexicon | None" = None,
 ) -> BaselineTagger:
-    """Fit a BaselineTagger on parallel sentence pairs.
-
-    Tags come from running the encoder to convergence on each pair (so the
-    model also sees the intermediate sentences it will encounter during
-    iterative decoding); tags outside ``vocab`` count as UNKNOWN.
-    """
-    from .align import encode_passes
-
-    model = BaselineTagger(vocab, context_width, smoothing, {})
-    counts = model.counts
-    for source, target in pairs:
-        for cur, tags in encode_passes(source, target, lexicon):
-            for key, tag in zip(_context_keys(cur, context_width), tags):
-                slot = counts.setdefault(key, {})
-                idx = vocab.index_of(tag)
-                slot[idx] = slot.get(idx, 0) + 1
-    return model
+    """Fit a single BaselineTagger on parallel sentence pairs (see train_baselines)."""
+    return train_baselines(pairs, vocab, [(context_width, smoothing)], lexicon)[0]
 
 
 @dataclass(frozen=True)

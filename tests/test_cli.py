@@ -248,6 +248,26 @@ def test_batched_commands_match_per_sentence_decoding(workspace, capsys):
     )
     assert capsys.readouterr().out == f"ac {result.best.ac!r} mep {result.best.mep!r}\n{result.report.summary()}\n"
 
+    correct_one = {
+        "average": lambda s: gk.average_correct(models, s, hp),
+        "vote": lambda s: gk.vote_correct(s, [gk.run_pipeline(m, s, hp).output for m in models], 2),
+    }
+    for mode, fix in correct_one.items():
+        edited = [(s, fix(s)) for s in sentences if fix(s) != s]
+        limit = len(edited) // 2
+        assert limit >= 2
+        # One sentence at a time, stopping at the sentence that reaches the limit.
+        processed = sentences.index(edited[limit - 1][0]) + 1
+        out = tmp_path / f"distill.{mode}.tsv"
+        assert main([
+            "distill", "--input", str(eval_txt), "--output", str(out), "--vocab", str(vocab_path),
+            *members, "--mode", mode, "--limit", str(limit), *hp_flags,
+        ]) == 0
+        expected = tmp_path / f"expected.distill.{mode}.tsv"
+        gk.write_tsv_corpus(expected, edited[:limit])
+        assert out.read_bytes() == expected.read_bytes()
+        assert capsys.readouterr().out == gk.DistillStats(processed, limit, 0).summary() + "\n"
+
 
 def test_single_member_distill_modes_match_correct(workspace, capsys):
     tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
@@ -271,6 +291,74 @@ def test_single_member_distill_modes_match_correct(workspace, capsys):
     assert pairs
     for source, target in pairs:
         assert target == corrected[source]
+
+
+def test_members_sharing_a_tsv_are_encoded_once(workspace, monkeypatch):
+    import gec_editkit.align as align
+
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+    calls = [0]
+    real = align.encode_tags
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(align, "encode_tags", counting)
+    assert main([
+        "correct", "--input", str(eval_txt), "--output", str(tmp_path / "one.txt"),
+        "--vocab", str(vocab_path), "--tagger", f"baseline={train_tsv}",
+    ]) == 0
+    one_training = calls[0]
+    assert one_training > 0
+
+    # The same members on three copies of the TSV are trained separately.
+    copies = []
+    for i in range(3):
+        copies.append(tmp_path / f"train{i}.tsv")
+        copies[-1].write_bytes(train_tsv.read_bytes())
+    commands = {
+        "average": ["ensemble", "--mode", "average", "--source", str(eval_txt)],
+        "distill": ["distill", "--mode", "vote", "--limit", "8", "--input", str(eval_txt)],
+    }
+    for name, command in commands.items():
+        outputs = {}
+        for shared in (True, False):
+            paths = [train_tsv] * 3 if shared else copies
+            members = [x for cw, path in enumerate(paths) for x in ("--member", f"baseline={path},cw={cw},sm=0.5")]
+            outputs[shared] = tmp_path / f"{name}.{shared}.out"
+            calls[0] = 0
+            assert main([*command, "--output", str(outputs[shared]), "--vocab", str(vocab_path), *members]) == 0
+            assert calls[0] == (one_training if shared else 3 * one_training)
+        assert outputs[True].read_bytes() == outputs[False].read_bytes()
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    ("distill", "--limit", "limit must be >= 1, got 0"),
+    ("tune", "--trials", "trials must be >= 1, got 0"),
+])
+def test_bad_counts_fail_before_any_input_is_read(workspace, capsys, monkeypatch, command, flag, message):
+    import gec_editkit.cli as cli
+
+    tmp_path, train_tsv, eval_txt, gold_m2, _, vocab_path, _ = workspace
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for reader in ("read_tsv_corpus", "read_vocab_file", "read_sentences", "read_m2"):
+        monkeypatch.setattr(cli, reader, no_reading)
+    out = tmp_path / "distilled.tsv"
+    io_flags = {
+        "distill": ["--input", str(eval_txt), "--output", str(out), "--member", f"baseline={train_tsv}"],
+        "tune": ["--gold", str(gold_m2), "--tagger", f"baseline={train_tsv}"],
+    }[command]
+    rc = main([command, *io_flags, "--vocab", str(vocab_path), flag, "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
 def test_module_runs_the_cli(tmp_path):
@@ -343,6 +431,28 @@ def test_bad_tagger_spec_fails(workspace, capsys):
     assert "unknown baseline option" in capsys.readouterr().err
     assert run(f"baseline={train_tsv},cw=abc") != 0
     assert "bad numeric option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("nonsense", "tagger spec"),
+    ("baseline={},cw=-1", "context_width must be >= 0"),
+    ("baseline={},sm=0", "smoothing must be positive"),
+])
+def test_a_bad_member_spec_fails_before_any_member_is_trained(workspace, capsys, monkeypatch, bad, message):
+    import gec_editkit.cli as cli
+
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a member was trained")
+
+    monkeypatch.setattr(cli, "train_baselines", no_training)
+    members = ["--member", f"baseline={train_tsv}", "--member", f"baseline={train_tsv},cw=2", "--member", bad.format(train_tsv)]
+    out = tmp_path / "distilled.tsv"
+    rc = main(["distill", "--input", str(eval_txt), "--output", str(out), "--vocab", str(vocab_path), *members, "--limit", "5"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_matrix_file_tagger_through_cli(workspace):

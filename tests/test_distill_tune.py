@@ -1,17 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gec_editkit import ContractError, EditSpan, InputError, distill, extract_edits, tune_hyperparams
+from gec_editkit import ContractError, EditKitError, EditSpan, InputError, distill, extract_edits, tune_hyperparams
 from gec_editkit.decode import Hyperparams
+from gec_editkit.distill import DistillStats
 
 from gen import random_tokens
+
+
+def each(fix):
+    """A corpus-level corrector that applies the one-sentence ``fix`` to each source."""
+    return lambda sources: [fix(source) for source in sources]
 
 
 def test_distill_identity_corrector_emits_nothing():
     rng = random.Random(1)
     sentences = [random_tokens(rng, max_len=8) for _ in range(30)]
-    pairs, stats = distill(lambda s: s, sentences, limit=10)
+    pairs, stats = distill(each(lambda s: s), sentences, limit=10)
     assert pairs == []
     assert stats.processed == 30
     assert stats.emitted == 0
@@ -24,7 +32,7 @@ def test_distill_limit_semantics():
 
     sentences = [("BAD", "a"), ("ok",), ("BAD", "b"), ("BAD", "c"), ("ok", "too"), ("BAD", "d")]
     sentences += [("BAD", str(i)) for i in range(10)]
-    pairs, stats = distill(fixer, sentences, limit=5)
+    pairs, stats = distill(each(fixer), sentences, limit=5)
     assert len(pairs) == 5
     assert pairs[0] == (("BAD", "a"), ("a",))
     assert stats.emitted == 5
@@ -41,7 +49,7 @@ def test_distill_never_emits_edit_free_pairs():
         return tuple(t.upper() for t in tokens)
 
     sentences = [random_tokens(rng, max_len=6, min_len=1) for _ in range(100)]
-    pairs, _ = distill(flaky_fixer, sentences, limit=1000)
+    pairs, _ = distill(each(flaky_fixer), sentences, limit=1000)
     for source, output in pairs:
         assert extract_edits(source, output) != []
 
@@ -53,7 +61,7 @@ def test_distill_counts_and_skips_failures():
         return tokens + ("!",)
 
     sentences = [("a",), ("boom",), ("b",), ("boom", "x")]
-    pairs, stats = distill(brittle, sentences, limit=100)
+    pairs, stats = distill(each(brittle), sentences, limit=100)
     assert [s for s, _ in pairs] == [("a",), ("b",)]
     assert stats.failed == 2
     assert stats.processed == 4
@@ -67,12 +75,12 @@ def test_distill_propagates_corrector_bugs():
         return tokens + ("!",)
 
     with pytest.raises(RuntimeError, match="bug"):
-        distill(buggy, [("a",), ("boom",), ("b",)], limit=100)
+        distill(each(buggy), [("a",), ("boom",), ("b",)], limit=100)
 
 
 def test_distill_limit_contract():
     with pytest.raises(ContractError):
-        distill(lambda s: s, [], limit=0)
+        distill(each(lambda s: s), [], limit=0)
 
 
 def test_distill_edited_fraction_matches_recount():
@@ -89,10 +97,82 @@ def test_distill_edited_fraction_matches_recount():
         if i in errorful:
             str_set.add(head)
         sentences.append((head, "body"))
-    pairs, stats = distill(fixer, sentences, limit=1000)
+    pairs, stats = distill(each(fixer), sentences, limit=1000)
     recount = sum(1 for s in sentences if extract_edits(s, fixer(s)) != [])
     assert stats.emitted == recount == 30
     assert stats.edited_fraction == pytest.approx(0.30)
+
+
+def test_distill_corrects_exactly_the_processed_sentences():
+    seen = []
+
+    def corrector(sources):
+        seen.append(len(sources))
+        return [s + ("!",) if s[0].startswith("e") else s for s in sources]
+
+    sentences = [(f"e{i}" if i % 3 == 0 else f"k{i}",) for i in range(40)]
+    pairs, stats = distill(corrector, sentences, limit=6)
+    assert stats.emitted == 6
+    # the sixth edited sentence is sentence 15; nothing after it reaches the corrector
+    assert stats.processed == 16
+    assert sum(seen) == stats.processed
+    assert seen[0] == 6
+
+
+def test_distill_rejected_chunk_reruns_per_sentence():
+    calls = []
+
+    def picky(sources):
+        calls.append(len(sources))
+        if len(sources) > 2 or any("boom" in s for s in sources):
+            raise InputError("rejected")
+        return [s + ("!",) for s in sources]
+
+    sentences = [("a",), ("boom",), ("b",), ("c",), ("d",)]
+    pairs, stats = distill(picky, sentences, limit=100)
+    # the whole input is one chunk; alone, only ("boom",) fails
+    assert calls == [5, 1, 1, 1, 1, 1]
+    assert [s for s, _ in pairs] == [("a",), ("b",), ("c",), ("d",)]
+    assert (stats.processed, stats.emitted, stats.failed) == (5, 4, 1)
+
+
+@pytest.mark.parametrize("outputs", [[("a",)], [("a",), ("b",), ("c",), ("d",)]])
+def test_distill_refuses_a_wrong_output_count(outputs):
+    with pytest.raises(ContractError, match=f"corrector gave {len(outputs)} outputs for 3 sources"):
+        distill(lambda sources: outputs, [("x",), ("y",), ("z",)], limit=10)
+
+
+def _distill_one_by_one(fix, sentences, limit):
+    """The per-sentence reference: correct, keep changed pairs, stop at the limit."""
+    pairs, processed, failed = [], 0, 0
+    for sentence in sentences:
+        source = tuple(sentence)
+        processed += 1
+        try:
+            output = tuple(fix(source))
+        except EditKitError:
+            failed += 1
+            continue
+        if output != source:
+            pairs.append((source, output))
+            if len(pairs) >= limit:
+                break
+    return pairs, DistillStats(processed, len(pairs), failed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["keep", "edit", "fail"]), max_size=40),
+    limit=st.integers(min_value=1, max_value=15),
+)
+def test_distill_matches_the_one_sentence_loop(kinds, limit):
+    def fix(source):
+        if source[1] == "fail":
+            raise InputError("bad sentence")
+        return source + ("!",) if source[1] == "edit" else source
+
+    sentences = [(f"s{i}", kind) for i, kind in enumerate(kinds)]
+    assert distill(each(fix), iter(sentences), limit) == _distill_one_by_one(fix, sentences, limit)
 
 
 # --- tuning ---------------------------------------------------------------

@@ -14,7 +14,9 @@ from gec_editkit import (
     build_vocab,
     read_matrix_file,
     run_pipeline,
+    VerbLexicon,
     train_baseline,
+    train_baselines,
     write_matrix_file,
 )
 from gec_editkit import matrix_io
@@ -27,6 +29,7 @@ from gec_editkit.tagger import (
 from gec_editkit.tags import replace
 from gec_editkit.vocab import MANDATORY_TAGS
 
+from deskdata import make_corpus
 from gen import random_distribution, random_pair, random_vocab
 
 
@@ -108,6 +111,23 @@ def test_baseline_determinism(small_vocab):
         da, db = a.predict(sent), b.predict(sent)
         assert np.array_equal(da.rows, db.rows)
         assert np.array_equal(da.error_probs, db.error_probs)
+
+
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@pytest.mark.parametrize("empty", [False, True])
+def test_train_baselines_match_separate_trainings(with_lexicon, empty):
+    lexicon = VerbLexicon.bundled() if with_lexicon else None
+    # The verb pairs encode differently with the lexicon (VERB_FORM tags).
+    corpus = make_corpus(80, seed=5) + [(("He", "go", "home"), ("He", "goes", "home")), (("She", "eat", "it"), ("She", "ate", "it"))]
+    pairs = [] if empty else corpus
+    vocab = build_vocab(corpus, 200, lexicon)
+    shapes = [(0, 1.0), (1, 0.5), (2, 0.1), (1, 0.5)]
+    models = train_baselines(iter(pairs), vocab, shapes, lexicon)
+    assert [(m.context_width, m.smoothing) for m in models] == shapes
+    for model, (cw, sm) in zip(models, shapes):
+        assert model.counts == train_baseline(pairs, vocab, cw, sm, lexicon).counts
+    assert bool(models[0].counts) != empty
+    assert models[1].counts is not models[3].counts
 
 
 def test_baseline_rows_sum_to_one_tightly(small_vocab):
