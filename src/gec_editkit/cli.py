@@ -1,9 +1,10 @@
 """Batch command-line surface.
 
 Every subcommand is a thin deterministic wrapper over one library operation:
-identical inputs, flags, and seed produce byte-identical outputs.  Output
-files are written to a temporary sibling and renamed on success, so failures
-leave nothing partial behind.
+it reads its inputs, calls the library, and writes its outputs.  Identical
+inputs, flags, and seed produce byte-identical outputs.  All file reading and
+writing goes through ``gec_editkit.corpus``: a malformed or non-UTF-8 input
+fails at ``path:line``, and a failed command leaves no partial output.
 
 Tagger member specs (for correct/ensemble/tune/distill) take two forms::
 
@@ -16,13 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import Sequence
 
 from .align import encode_tags, extract_edits
 from .corpus import (
-    atomic_output as _atomic_output,
     filter_edit_free,
+    read_lines,
     read_m2,
     read_sentences,
     read_tsv_corpus,
@@ -34,7 +34,7 @@ from .corpus import (
 from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch  # noqa: F401
 from .distill import distill
 from .ensemble import average_correct_batch, vote_correct
-from .errors import ContractError, EditKitError, InputError
+from .errors import ContractError, EditKitError, FormatError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
 from .spans import TokenSeq
@@ -129,34 +129,30 @@ def _quorum(args: argparse.Namespace, n_members: int) -> int | None:
 def cmd_build_vocab(args: argparse.Namespace) -> int:
     pairs = read_tsv_corpus(args.input)
     vocab = build_vocab(pairs, args.size, _load_lexicon(args))
-    with _atomic_output(args.output) as tmp:
-        write_vocab_file(tmp, vocab)
+    write_vocab_file(args.output, vocab)
     return 0
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     pairs = read_tsv_corpus(args.input)
-    lines = [
-        " ".join(format_tag(t) for t in encode_tags(src, tgt, lexicon)) for src, tgt in pairs
-    ]
-    with _atomic_output(args.output) as tmp:
-        tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_sentences(args.output, [[format_tag(t) for t in encode_tags(src, tgt, lexicon)] for src, tgt in pairs])
     return 0
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     sentences = read_sentences(args.source)
-    tag_lines = Path(args.tags).read_text(encoding="utf-8").splitlines()
+    tag_lines = list(read_lines(args.tags))
     if len(sentences) != len(tag_lines):
-        raise InputError(f"{len(sentences)} sentences but {len(tag_lines)} tag lines")
+        raise InputError(f"{args.source} has {len(sentences)} sentences but {args.tags} has {len(tag_lines)} tag lines")
     outputs = []
-    for sent, line in zip(sentences, tag_lines):
-        tags = [parse_tag(text) for text in line.split(" ") if text]
-        outputs.append(apply_tags(sent, tags, lexicon))
-    with _atomic_output(args.output) as tmp:
-        write_sentences(tmp, outputs)
+    for sent, (lineno, line) in zip(sentences, tag_lines):
+        try:
+            outputs.append(apply_tags(sent, [parse_tag(text) for text in line.split(" ") if text], lexicon))
+        except EditKitError as exc:
+            raise FormatError(str(exc), path=args.tags, line=lineno) from None
+    write_sentences(args.output, outputs)
     return 0
 
 
@@ -166,9 +162,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
     hp = _hp(args)
     sentences = read_sentences(args.input)
-    outputs = [result.output for result in run_pipeline_batch(tagger, sentences, hp, lexicon)]
-    with _atomic_output(args.output) as tmp:
-        write_sentences(tmp, outputs)
+    write_sentences(args.output, [result.output for result in run_pipeline_batch(tagger, sentences, hp, lexicon)])
     return 0
 
 
@@ -180,7 +174,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         member_outputs = [read_sentences(path) for path in args.member]
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
-                raise InputError(f"{path}: {len(outputs)} sentences, source has {len(sources)}")
+                raise InputError(f"{path} has {len(outputs)} sentences, {args.source} has {len(sources)}")
         rows = list(zip(*member_outputs)) if member_outputs else []
         corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, rows)]
     else:
@@ -189,8 +183,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         vocab = read_vocab_file(args.vocab)
         taggers = _build_taggers(args.member, vocab, lexicon)
         corrected = average_correct_batch(taggers, sources, _hp(args), lexicon)
-    with _atomic_output(args.output) as tmp:
-        write_sentences(tmp, corrected)
+    write_sentences(args.output, corrected)
     return 0
 
 
@@ -198,7 +191,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     blocks = read_m2(args.gold)
     hyps = read_sentences(args.hyp)
     if len(hyps) != len(blocks):
-        raise InputError(f"hypothesis has {len(hyps)} sentences, gold has {len(blocks)}")
+        raise InputError(f"{args.hyp} has {len(hyps)} sentences, {args.gold} has {len(blocks)} blocks")
     hyp_edits = [extract_edits(block.source, hyp) for block, hyp in zip(blocks, hyps)]
     report = score_corpus(hyp_edits, [block.gold_edit_lists() for block in blocks])
     print(report.summary())
@@ -240,16 +233,13 @@ def cmd_distill(args: argparse.Namespace) -> int:
         return [vote_correct(source, row, n_min) for source, row in zip(sources, zip(*member_outputs))]
 
     pairs, stats = distill(correct, read_sentences(args.input), args.limit)
-    with _atomic_output(args.output) as tmp:
-        write_tsv_corpus(tmp, pairs)
+    write_tsv_corpus(args.output, pairs)
     print(stats.summary())
     return 0
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    pairs = read_tsv_corpus(args.input)
-    with _atomic_output(args.output) as tmp:
-        write_tsv_corpus(tmp, filter_edit_free(pairs))
+    write_tsv_corpus(args.output, filter_edit_free(read_tsv_corpus(args.input)))
     return 0
 
 

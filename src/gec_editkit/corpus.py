@@ -11,12 +11,19 @@ by ``A`` annotator edit lines::
 ``-NONE-`` as replacement means deletion; ``A -1 -1|||noop|||...`` marks an
 annotator who proposes no edits.  Edit types are carried through for
 round-tripping but ignored by the scorer.
+
+This module owns how every text file of the toolkit is read and written.
+Inputs are UTF-8, read in text mode (so ``\r\n`` and ``\r`` end lines like
+``\n``) through ``read_lines``; a byte that is not UTF-8 raises FormatError at
+the line that holds it.  Outputs are written through ``write_lines``: to a
+temporary sibling, renamed onto the target only on success, so a failed write
+leaves the target as it was and nothing partial behind.  A new file gets the
+mode ``open(path, "w")`` would give it (0o666 less the umask).
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,21 +43,66 @@ DEFAULT_EDIT_TYPE = "UNK"
 
 @contextmanager
 def atomic_output(path: str | Path) -> Iterator[Path]:
-    """A temporary sibling of ``path`` to write, renamed onto ``path`` on success.
+    """A new, empty sibling of ``path`` to write, renamed onto ``path`` on success.
 
     On any failure the temporary file is removed and ``path`` is left as it
-    was, so a failed write leaves nothing partial behind.
+    was, so a failed write leaves nothing partial behind.  The sibling is
+    created with mode 0o666 less the umask, as ``open(path, "w")`` creates a
+    new file, so the renamed target gets the usual mode.
     """
     final = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=final.name + ".", suffix=".tmp")
-    os.close(fd)
+    tmp = final.with_name(f"{final.name}.{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        yield Path(tmp)
+        yield tmp
         os.replace(tmp, final)
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` plus ``"\n"`` to ``path`` as UTF-8, atomically.
+
+    ``lines`` may be a generator that validates as it goes: an error it
+    raises leaves ``path`` as it was.
+    """
+    with atomic_output(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, line without "\n")`` for each line of a UTF-8 text file.
+
+    Lines are numbered from 1 and end as in text mode.  A byte that is not
+    UTF-8 raises FormatError naming the line that holds it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        message = f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        raise FormatError(message, path=str(path), line=_undecodable_line(path)) from None
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """The number of the first line holding a byte that is not UTF-8.
+
+    Text mode decodes ahead in blocks, so the line being read when the decoder
+    fails can lie well before the bad byte.  This rescans with each bad byte
+    escaped to a lone surrogate, which strict UTF-8 never decodes to, keeping
+    text mode's line ends and hence its line numbers.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return None
 
 
 def _split_tokens(line: str, path: str, lineno: int) -> TokenSeq:
@@ -63,45 +115,39 @@ def _split_tokens(line: str, path: str, lineno: int) -> TokenSeq:
 
 
 def read_sentences(path: str | Path) -> list[TokenSeq]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            out.append(_split_tokens(raw.rstrip("\n"), str(path), lineno))
-    return out
+    spath = str(path)
+    return [_split_tokens(line, spath, lineno) for lineno, line in read_lines(path)]
 
 
 def write_sentences(path: str | Path, sentences: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            fh.write(" ".join(validate_tokens(sent)) + "\n")
+    write_lines(path, (" ".join(validate_tokens(sent)) for sent in sentences))
 
 
 def read_tsv_corpus(path: str | Path) -> ParallelCorpus:
+    spath = str(path)
     pairs: ParallelCorpus = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"expected source<TAB>target, got {len(parts)} fields", path=str(path), line=lineno
-                )
-            source = _split_tokens(parts[0], str(path), lineno)
-            target = _split_tokens(parts[1], str(path), lineno)
-            if not source and not target:
-                raise FormatError("both sides empty", path=str(path), line=lineno)
-            pairs.append((source, target))
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"expected source<TAB>target, got {len(parts)} fields", path=spath, line=lineno)
+        source = _split_tokens(parts[0], spath, lineno)
+        target = _split_tokens(parts[1], spath, lineno)
+        if not source and not target:
+            raise FormatError("both sides empty", path=spath, line=lineno)
+        pairs.append((source, target))
     return pairs
 
 
 def write_tsv_corpus(path: str | Path, pairs: Iterable[Pair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for source, target in pairs:
-            src = validate_tokens(source)
-            tgt = validate_tokens(target)
-            if not src and not tgt:
-                raise ContractError("refusing to write a pair with both sides empty")
-            fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
+    write_lines(path, (_tsv_line(source, target) for source, target in pairs))
+
+
+def _tsv_line(source: Sequence[str], target: Sequence[str]) -> str:
+    src = validate_tokens(source)
+    tgt = validate_tokens(target)
+    if not src and not tgt:
+        raise ContractError("refusing to write a pair with both sides empty")
+    return " ".join(src) + "\t" + " ".join(tgt)
 
 
 def filter_edit_free(pairs: Sequence[Pair]) -> ParallelCorpus:
@@ -151,35 +197,33 @@ def read_m2(path: str | Path) -> list[M2Block]:
         annotations = {}
         noop_seen = set()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                close()
-                continue
-            if line == "S" or line.startswith("S "):
-                close()
-                source = _split_tokens(line[2:], spath, lineno)
-                continue
-            if line.startswith("A "):
-                if source is None:
-                    raise FormatError("A line before any S line", path=spath, line=lineno)
-                annotator, edit = _parse_a_line(line, len(source), spath, lineno)
-                if edit is None:
-                    if annotator in noop_seen or annotations.get(annotator):
-                        raise FormatError(
-                            f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
-                        )
-                    noop_seen.add(annotator)
-                    annotations.setdefault(annotator, [])
-                else:
-                    if annotator in noop_seen:
-                        raise FormatError(
-                            f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
-                        )
-                    annotations.setdefault(annotator, []).append(edit)
-                continue
-            raise FormatError(f"unrecognized line {line[:40]!r}", path=spath, line=lineno)
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            close()
+            continue
+        if line == "S" or line.startswith("S "):
+            close()
+            source = _split_tokens(line[2:], spath, lineno)
+            continue
+        if line.startswith("A "):
+            if source is None:
+                raise FormatError("A line before any S line", path=spath, line=lineno)
+            annotator, edit = _parse_a_line(line, len(source), spath, lineno)
+            if edit is None:
+                if annotator in noop_seen or annotations.get(annotator):
+                    raise FormatError(
+                        f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
+                    )
+                noop_seen.add(annotator)
+                annotations.setdefault(annotator, [])
+            else:
+                if annotator in noop_seen:
+                    raise FormatError(
+                        f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
+                    )
+                annotations.setdefault(annotator, []).append(edit)
+            continue
+        raise FormatError(f"unrecognized line {line[:40]!r}", path=spath, line=lineno)
     close()
     return blocks
 
@@ -228,18 +272,20 @@ def _parse_a_line(line: str, source_len: int, path: str, lineno: int) -> tuple[i
 
 def write_m2(path: str | Path, blocks: Iterable[M2Block]) -> None:
     """Write blocks in canonical order: annotators ascending, edits as stored."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for block in blocks:
-            tokens = validate_tokens(block.source)
-            fh.write(("S " + " ".join(tokens)).rstrip() + "\n")
-            for annotator in sorted(block.annotations):
-                edits = block.annotations[annotator]
-                if not edits:
-                    fh.write(f"A -1 -1|||{_NOOP_TYPE}|||{_NONE_FIELD}|||{_REQUIRED_FIELD}|||{_NONE_FIELD}|||{annotator}\n")
-                    continue
-                for edit in edits:
-                    fh.write(_format_a_line(edit, annotator, len(tokens)) + "\n")
-            fh.write("\n")
+    write_lines(path, (line for block in blocks for line in _m2_lines(block)))
+
+
+def _m2_lines(block: M2Block) -> Iterator[str]:
+    tokens = validate_tokens(block.source)
+    yield ("S " + " ".join(tokens)).rstrip()
+    for annotator in sorted(block.annotations):
+        edits = block.annotations[annotator]
+        if not edits:
+            yield f"A -1 -1|||{_NOOP_TYPE}|||{_NONE_FIELD}|||{_REQUIRED_FIELD}|||{_NONE_FIELD}|||{annotator}"
+            continue
+        for edit in edits:
+            yield _format_a_line(edit, annotator, len(tokens))
+    yield ""
 
 
 def _format_a_line(edit: M2Edit, annotator: int, source_len: int) -> str:

@@ -23,12 +23,13 @@ write/read cycle is lossless.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import atomic_output
+from .corpus import read_lines, write_lines
 from .errors import ContractError, EditKitError, FormatError
 from .spans import TokenSeq, validate_tokens
 from .tagger import TagDistribution
@@ -42,23 +43,20 @@ MatrixRecord = tuple[TokenSeq, TagDistribution]
 def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
     """Write ``records`` as a v1 matrix file; a bad record leaves ``path`` untouched."""
     header = {"format": MATRIX_FORMAT, "vocab_sha256": vocab.sha256, "vocab_size": len(vocab)}
-    with atomic_output(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for tokens, dist in records:
-            if dist.vocab_id != vocab.sha256:
-                raise FormatError(
-                    f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)"
-                )
-            if dist.positions != len(tokens) + 1:
-                raise FormatError(
-                    f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens"
-                )
-            record = {
-                "tokens": list(tokens),
-                "rows": [list(map(float, row)) for row in dist.rows],
-                "error_probs": [float(x) for x in dist.error_probs],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_lines(path, chain([json.dumps(header)], (_record_line(vocab, tokens, dist) for tokens, dist in records)))
+
+
+def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution) -> str:
+    if dist.vocab_id != vocab.sha256:
+        raise FormatError(f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)")
+    if dist.positions != len(tokens) + 1:
+        raise FormatError(f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens")
+    record = {
+        "tokens": list(tokens),
+        "rows": [list(map(float, row)) for row in dist.rows],
+        "error_probs": [float(x) for x in dist.error_probs],
+    }
+    return json.dumps(record)
 
 
 def iter_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> Iterator[MatrixRecord]:
@@ -68,30 +66,30 @@ def iter_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> Iterato
     malformed record raises FormatError naming the file and line.
     """
     spath = str(path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise FormatError("empty matrix file: missing header", path=spath, line=1)
-        header = _parse_json(first, spath, 1)
-        if header.get("format") != MATRIX_FORMAT:
-            raise FormatError(f"expected format {MATRIX_FORMAT!r}, got {header.get('format')!r}", path=spath, line=1)
-        vocab_id = header.get("vocab_sha256")
-        vocab_size = header.get("vocab_size")
-        if not isinstance(vocab_id, str) or not isinstance(vocab_size, int) or vocab_size < 1:
-            raise FormatError("header needs a vocab_sha256 string and positive vocab_size", path=spath, line=1)
-        if vocab is not None:
-            if vocab.sha256 != vocab_id:
-                raise FormatError(
-                    f"file was produced for vocab {vocab_id[:12]}..., expected {vocab.sha256[:12]}...",
-                    path=spath,
-                    line=1,
-                )
-            if len(vocab) != vocab_size:
-                raise FormatError(f"header vocab_size {vocab_size} != vocab size {len(vocab)}", path=spath, line=1)
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
-            yield _parse_record(line, vocab_id, vocab_size, spath, lineno)
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise FormatError("empty matrix file: missing header", path=spath, line=1)
+    header = _parse_json(first[1], spath, 1)
+    if header.get("format") != MATRIX_FORMAT:
+        raise FormatError(f"expected format {MATRIX_FORMAT!r}, got {header.get('format')!r}", path=spath, line=1)
+    vocab_id = header.get("vocab_sha256")
+    vocab_size = header.get("vocab_size")
+    if not isinstance(vocab_id, str) or not isinstance(vocab_size, int) or vocab_size < 1:
+        raise FormatError("header needs a vocab_sha256 string and positive vocab_size", path=spath, line=1)
+    if vocab is not None:
+        if vocab.sha256 != vocab_id:
+            raise FormatError(
+                f"file was produced for vocab {vocab_id[:12]}..., expected {vocab.sha256[:12]}...",
+                path=spath,
+                line=1,
+            )
+        if len(vocab) != vocab_size:
+            raise FormatError(f"header vocab_size {vocab_size} != vocab size {len(vocab)}", path=spath, line=1)
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        yield _parse_record(line, vocab_id, vocab_size, spath, lineno)
 
 
 def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[MatrixRecord]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import read_lines
 from .errors import ContractError, FormatError, InapplicableTransformError
 from .tags import (
     AGREEMENT_DIRECTIONS,
@@ -157,20 +158,16 @@ class VerbLexicon:
     @classmethod
     def from_path(cls, path: str | Path) -> "VerbLexicon":
         entries = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3 or not all(parts):
-                    raise FormatError(
-                        "expected base<TAB>form_key<TAB>inflected", path=str(path), line=lineno
-                    )
-                base, key, form = parts
-                if "_" in key or any(ch.isspace() for ch in key):
-                    raise FormatError(f"bad form key {key!r}", path=str(path), line=lineno)
-                entries.append((base, key, form))
+        for lineno, line in read_lines(path):
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or not all(parts):
+                raise FormatError("expected base<TAB>form_key<TAB>inflected", path=str(path), line=lineno)
+            base, key, form = parts
+            if "_" in key or any(ch.isspace() for ch in key):
+                raise FormatError(f"bad form key {key!r}", path=str(path), line=lineno)
+            entries.append((base, key, form))
         try:
             return cls.from_entries(entries)
         except ContractError as exc:

@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .corpus import read_lines, write_lines
 from .errors import ContractError, EditKitError, FormatError
 from .tags import DELETE, KEEP, UNKNOWN, Tag, TagKind, format_tag, parse_tag
 
@@ -118,23 +119,21 @@ def build_vocab(
 
 
 def write_vocab_file(path: str | Path, vocab: TagVocab) -> None:
-    lines = [VOCAB_FILE_HEADER]
-    lines.extend(format_tag(t) for t in vocab.tags)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, [VOCAB_FILE_HEADER, *(format_tag(t) for t in vocab.tags)])
 
 
 def read_vocab_file(path: str | Path) -> TagVocab:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != VOCAB_FILE_HEADER:
-        raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}", path=str(path), line=1)
+    spath = str(path)
+    lines = read_lines(path)
+    if next(lines, (1, None))[1] != VOCAB_FILE_HEADER:
+        raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}", path=spath, line=1)
     tags = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         try:
             tags.append(parse_tag(line))
         except EditKitError as exc:
-            raise FormatError(str(exc), path=str(path), line=lineno) from None
+            raise FormatError(str(exc), path=spath, line=lineno) from None
     try:
         return TagVocab(tuple(tags))
     except ContractError as exc:
-        raise FormatError(str(exc), path=str(path)) from None
+        raise FormatError(str(exc), path=spath) from None

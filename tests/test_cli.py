@@ -416,6 +416,39 @@ def test_malformed_tags_leave_no_partial_output(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("second_line, message", [
+    ("$KEEP $BOGUS_x", "malformed tag '$BOGUS_x'"),
+    ("$KEEP", "1 tags for 1 tokens (need tokens + 1)"),
+], ids=["malformed-tag", "tag-count"])
+def test_bad_tag_lines_are_reported_at_their_line(tmp_path, capsys, second_line, message):
+    src = tmp_path / "src.txt"
+    write_sentences(src, [("a",), ("b",)])
+    tags = tmp_path / "tags.txt"
+    tags.write_text(f"$KEEP $KEEP\n{second_line}\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    rc = main(["apply", "--source", str(src), "--tags", str(tags), "--output", str(out)])
+    assert rc == 1
+    assert f"error: {tags}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_count_mismatches_name_both_files(workspace, capsys):
+    tmp_path, _, eval_txt, gold_m2, targets_txt, _, eval_pairs = workspace
+    short = tmp_path / "short.txt"
+    write_sentences(short, [t for _, t in eval_pairs[:-1]])
+    assert main(["score", "--hyp", str(short), "--gold", str(gold_m2)]) == 1
+    err = capsys.readouterr().err
+    assert str(short) in err and str(gold_m2) in err
+
+    tags = tmp_path / "tags.txt"
+    tags.write_text("$KEEP\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["apply", "--source", str(eval_txt), "--tags", str(tags), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(eval_txt) in err and str(tags) in err
+    assert not out.exists()
+
+
 def test_bad_tagger_spec_fails(workspace, capsys):
     tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
 
@@ -496,7 +529,7 @@ def test_lexicon_flag_enables_verb_tags(tmp_path):
 
 
 def test_atomic_output_cleans_up_on_failure(tmp_path):
-    from gec_editkit.cli import _atomic_output
+    from gec_editkit.corpus import atomic_output as _atomic_output
 
     target = tmp_path / "out.txt"
     with pytest.raises(RuntimeError):

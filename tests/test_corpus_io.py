@@ -1,4 +1,7 @@
+import os
 import random
+import stat
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,16 +11,20 @@ from gec_editkit import (
     FormatError,
     M2Block,
     M2Edit,
+    build_vocab,
     filter_edit_free,
     read_m2,
     read_sentences,
     read_tsv_corpus,
     write_m2,
+    write_matrix_file,
     write_sentences,
     write_tsv_corpus,
+    write_vocab_file,
 )
+from gec_editkit.tags import KEEP
 
-from gen import random_pair, random_tokens
+from gen import random_distribution, random_pair, random_tokens
 
 
 def test_text_round_trip(tmp_path):
@@ -196,3 +203,86 @@ def test_m2_write_rejects_unwritable_content(tmp_path):
     out_of_range = M2Block(("a",), {0: (M2Edit(EditSpan(0, 5, ("x",)), "R:X"),)})
     with pytest.raises(ContractError):
         write_m2(path, [out_of_range])
+
+
+def test_non_utf8_byte_is_reported_at_its_line(tmp_path):
+    # Text mode decodes ahead in blocks, so the line being read when decoding
+    # fails lies well before the bad byte; the reported line must hold it.
+    path = tmp_path / "c.txt"
+    lines = [b"a b"] * 3000
+    lines[2000] = b"a \xff b"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FormatError, match="not UTF-8: byte 0xff") as exc:
+        read_sentences(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 2001)
+
+
+def test_non_utf8_line_numbers_follow_text_mode_line_ends(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"a\rb\r\nc\n\xc3\nd\n")
+    with pytest.raises(FormatError) as exc:
+        read_sentences(path)
+    assert exc.value.line == 4
+    path.write_bytes(b"a\nb\n\xe2\x82")
+    with pytest.raises(FormatError, match="byte 0xe2") as exc:
+        read_sentences(path)
+    assert exc.value.line == 3
+
+
+_VOCAB = build_vocab([(("He", "go"), ("He", "goes"))], 100)
+
+
+def _write_vocab_tags(path, tags):
+    # A TagVocab refuses a bad tag when it is built, so a stand-in carries one.
+    write_vocab_file(path, SimpleNamespace(tags=tuple(tags)))
+
+
+_rng = random.Random(7)
+# (writer, a good record, a bad record, what the bad record raises)
+WRITERS = [
+    pytest.param(write_sentences, ("a", "b"), ("bad tok",), ContractError, id="sentences"),
+    pytest.param(write_tsv_corpus, (("a",), ("b",)), ((), ()), ContractError, id="tsv"),
+    pytest.param(
+        write_m2,
+        M2Block(("a", "b"), {0: (M2Edit(EditSpan(0, 1, ("c",))),)}),
+        M2Block(("a",), {0: (M2Edit(EditSpan(0, 1, ("x|||y",))),)}),
+        ContractError,
+        id="m2",
+    ),
+    pytest.param(_write_vocab_tags, KEEP, "$KEEP", AttributeError, id="vocab"),
+    pytest.param(
+        lambda path, records: write_matrix_file(path, _VOCAB, records),
+        (("a",), random_distribution(_rng, _VOCAB, 1)),
+        (("one",), random_distribution(_rng, _VOCAB, 2)),
+        FormatError,
+        id="matrix",
+    ),
+]
+
+
+@pytest.mark.parametrize("write, good, bad, error", WRITERS)
+def test_a_failed_write_leaves_nothing_behind(tmp_path, write, good, bad, error):
+    path = tmp_path / "out"
+    with pytest.raises(error):
+        write(path, [good, bad])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("write, good, bad, error", WRITERS)
+def test_a_failed_write_keeps_the_old_target(tmp_path, write, good, bad, error):
+    path = tmp_path / "out"
+    write(path, [good, good])
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write(path, [good, bad])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("write, good, bad, error", WRITERS)
+def test_a_written_file_gets_the_mode_open_gives(tmp_path, write, good, bad, error):
+    path = tmp_path / "out"
+    write(path, [good])
+    plain = tmp_path / "plain"
+    open(plain, "w").close()
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
