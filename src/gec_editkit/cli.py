@@ -34,7 +34,7 @@ from .corpus import (
 from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch  # noqa: F401
 from .distill import distill
 from .ensemble import average_correct_batch, vote_correct
-from .errors import ContractError, EditKitError, FormatError, InputError
+from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
 from .spans import TokenSeq
@@ -143,24 +143,25 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     sentences = read_sentences(args.source)
-    tag_lines = list(read_lines(args.tags))
-    if len(sentences) != len(tag_lines):
-        raise InputError(f"{args.source} has {len(sentences)} sentences but {args.tags} has {len(tag_lines)} tag lines")
-    outputs = []
-    for sent, (lineno, line) in zip(sentences, tag_lines):
-        try:
-            outputs.append(apply_tags(sent, [parse_tag(text) for text in line.split(" ") if text], lexicon))
-        except EditKitError as exc:
-            raise FormatError(str(exc), path=args.tags, line=lineno) from None
+    # The line count is checked before any tag is parsed, so counting takes a
+    # pass of its own: a short or long tag file fails as a mismatch of the
+    # two files, not at the first line whose tags do not fit.
+    with read_lines(args.tags) as lines:
+        n_tag_lines = sum(1 for _ in lines)
+    if len(sentences) != n_tag_lines:
+        raise InputError(f"{args.source} has {len(sentences)} sentences but {args.tags} has {n_tag_lines} tag lines")
+    with read_lines(args.tags) as lines:
+        outputs = [apply_tags(sent, [parse_tag(text) for text in line.split(" ") if text], lexicon)
+                   for sent, line in zip(sentences, lines)]
     write_sentences(args.output, outputs)
     return 0
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
+    hp = _hp(args)
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
     (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
-    hp = _hp(args)
     sentences = read_sentences(args.input)
     write_sentences(args.output, [result.output for result in run_pipeline_batch(tagger, sentences, hp, lexicon)])
     return 0
@@ -168,9 +169,11 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     n_min = _quorum(args, len(args.member))
-    lexicon = _load_lexicon(args)
-    sources = read_sentences(args.source)
     if args.mode == "vote":
+        for flag, value in (("--vocab", args.vocab), ("--lexicon", args.lexicon)):
+            if value is not None:
+                raise ContractError(f"{flag} is not read by --mode vote, which combines the members' output text")
+        sources = read_sentences(args.source)
         member_outputs = [read_sentences(path) for path in args.member]
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
@@ -178,11 +181,14 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         rows = list(zip(*member_outputs)) if member_outputs else []
         corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, rows)]
     else:
+        hp = _hp(args)
         if not args.vocab:
             raise ContractError("--vocab is required in average mode")
+        lexicon = _load_lexicon(args)
+        sources = read_sentences(args.source)
         vocab = read_vocab_file(args.vocab)
         taggers = _build_taggers(args.member, vocab, lexicon)
-        corrected = average_correct_batch(taggers, sources, _hp(args), lexicon)
+        corrected = average_correct_batch(taggers, sources, hp, lexicon)
     write_sentences(args.output, corrected)
     return 0
 
@@ -200,10 +206,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     _at_least_one("trials", args.trials)
+    base = Hyperparams(max_iters=args.max_iters)
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
     (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
-    base = Hyperparams(max_iters=args.max_iters)
     blocks = read_m2(args.gold)
     sources = [block.source for block in blocks]
     gold = [block.gold_edit_lists() for block in blocks]
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="vote: a member's corrected text file; average: a tagger spec",
     )
-    p.add_argument("--vocab", help="required in average mode")
+    p.add_argument("--vocab", help="required in average mode, refused in vote mode")
     p.add_argument("--lexicon")
     _add_hp_flags(p, n_min=True)
     p.set_defaults(func=cmd_ensemble)

@@ -14,11 +14,15 @@ round-tripping but ignored by the scorer.
 
 This module owns how every text file of the toolkit is read and written.
 Inputs are UTF-8, read in text mode (so ``\r\n`` and ``\r`` end lines like
-``\n``) through ``read_lines``; a byte that is not UTF-8 raises FormatError at
-the line that holds it.  Outputs are written through ``write_lines``: to a
-temporary sibling, renamed onto the target only on success, so a failed write
-leaves the target as it was and nothing partial behind.  A new file gets the
-mode ``open(path, "w")`` would give it (0o666 less the umask).
+``\n``) through ``read_lines``, which also places every input error: a reader
+parses its lines inside a ``read_lines`` block and raises its errors without a
+position, and the block puts them at ``path:line`` of the line being parsed.
+A byte that is not UTF-8 raises FormatError at the line that holds it.
+
+Outputs are written through ``write_lines``: to a temporary sibling, renamed
+onto the target only on success, so a failed write leaves the target as it
+was and nothing partial behind.  A new file gets the mode ``open(path, "w")``
+would give it (0o666 less the umask).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, EditKitError, FormatError
 from .spans import EditSpan, TokenSeq, validate_tokens
 
 Pair = tuple[TokenSeq, TokenSeq]
@@ -73,19 +77,48 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(line number, line without "\n")`` for each line of a UTF-8 text file.
+class _Lines:
+    """The lines of an open text file without "\n", numbering the current one.
 
-    Lines are numbered from 1 and end as in text mode.  A byte that is not
-    UTF-8 raises FormatError naming the line that holds it.
+    ``lineno`` is the number, from 1, of the line last returned; it is None
+    before the first line and once the last has been read.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        message = f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        raise FormatError(message, path=str(path), line=_undecodable_line(path)) from None
+
+    def __init__(self, fh: Iterable[str]):
+        self._numbered = enumerate(fh, start=1)
+        self.lineno: int | None = None
+
+    def __iter__(self) -> "_Lines":
+        return self
+
+    def __next__(self) -> str:
+        for self.lineno, line in self._numbered:
+            return line.rstrip("\n")
+        self.lineno = None
+        raise StopIteration
+
+
+@contextmanager
+def read_lines(path: str | Path) -> Iterator[_Lines]:
+    """The lines of a UTF-8 text file, for a ``with`` block that parses them.
+
+    Lines end as in text mode.  An EditKitError raised in the block comes out
+    as FormatError at ``path:line`` of the current line, or at ``path`` alone
+    once the last line has been read; a FormatError that already names a file
+    comes out unchanged.  A byte that is not UTF-8 raises FormatError naming
+    the line that holds it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = _Lines(fh)
+        try:
+            yield lines
+        except UnicodeDecodeError as exc:
+            message = f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            raise FormatError(message, path=str(path), line=_undecodable_line(path)) from None
+        except EditKitError as exc:
+            if isinstance(exc, FormatError) and exc.path is not None:
+                raise
+            raise FormatError(str(exc), path=str(path), line=lines.lineno) from None
 
 
 def _undecodable_line(path: str | Path) -> int | None:
@@ -105,18 +138,13 @@ def _undecodable_line(path: str | Path) -> int | None:
     return None
 
 
-def _split_tokens(line: str, path: str, lineno: int) -> TokenSeq:
-    if not line:
-        return ()
-    try:
-        return validate_tokens(line.split(" "))
-    except ContractError as exc:
-        raise FormatError(str(exc), path=path, line=lineno) from None
+def _split_tokens(line: str) -> TokenSeq:
+    return validate_tokens(line.split(" ")) if line else ()
 
 
 def read_sentences(path: str | Path) -> list[TokenSeq]:
-    spath = str(path)
-    return [_split_tokens(line, spath, lineno) for lineno, line in read_lines(path)]
+    with read_lines(path) as lines:
+        return [_split_tokens(line) for line in lines]
 
 
 def write_sentences(path: str | Path, sentences: Iterable[Sequence[str]]) -> None:
@@ -124,18 +152,18 @@ def write_sentences(path: str | Path, sentences: Iterable[Sequence[str]]) -> Non
 
 
 def read_tsv_corpus(path: str | Path) -> ParallelCorpus:
-    spath = str(path)
-    pairs: ParallelCorpus = []
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"expected source<TAB>target, got {len(parts)} fields", path=spath, line=lineno)
-        source = _split_tokens(parts[0], spath, lineno)
-        target = _split_tokens(parts[1], spath, lineno)
-        if not source and not target:
-            raise FormatError("both sides empty", path=spath, line=lineno)
-        pairs.append((source, target))
-    return pairs
+    with read_lines(path) as lines:
+        return [_tsv_pair(line) for line in lines]
+
+
+def _tsv_pair(line: str) -> Pair:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise FormatError(f"expected source<TAB>target, got {len(parts)} fields")
+    source, target = _split_tokens(parts[0]), _split_tokens(parts[1])
+    if not source and not target:
+        raise FormatError("both sides empty")
+    return source, target
 
 
 def write_tsv_corpus(path: str | Path, pairs: Iterable[Pair]) -> None:
@@ -183,7 +211,6 @@ class M2Block:
 
 
 def read_m2(path: str | Path) -> list[M2Block]:
-    spath = str(path)
     blocks: list[M2Block] = []
     source: TokenSeq | None = None
     annotations: dict[int, list[M2Edit]] = {}
@@ -197,77 +224,61 @@ def read_m2(path: str | Path) -> list[M2Block]:
         annotations = {}
         noop_seen = set()
 
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            close()
-            continue
-        if line == "S" or line.startswith("S "):
-            close()
-            source = _split_tokens(line[2:], spath, lineno)
-            continue
-        if line.startswith("A "):
-            if source is None:
-                raise FormatError("A line before any S line", path=spath, line=lineno)
-            annotator, edit = _parse_a_line(line, len(source), spath, lineno)
-            if edit is None:
-                if annotator in noop_seen or annotations.get(annotator):
-                    raise FormatError(
-                        f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
-                    )
-                noop_seen.add(annotator)
-                annotations.setdefault(annotator, [])
-            else:
-                if annotator in noop_seen:
-                    raise FormatError(
-                        f"annotator {annotator} mixes noop with other annotations", path=spath, line=lineno
-                    )
-                annotations.setdefault(annotator, []).append(edit)
-            continue
-        raise FormatError(f"unrecognized line {line[:40]!r}", path=spath, line=lineno)
+    with read_lines(path) as lines:
+        for line in lines:
+            if not line.strip():
+                close()
+                continue
+            if line == "S" or line.startswith("S "):
+                close()
+                source = _split_tokens(line[2:])
+                continue
+            if line.startswith("A "):
+                if source is None:
+                    raise FormatError("A line before any S line")
+                annotator, edit = _parse_a_line(line, len(source))
+                if annotator in noop_seen or (edit is None and annotations.get(annotator)):
+                    raise FormatError(f"annotator {annotator} mixes noop with other annotations")
+                if edit is None:
+                    noop_seen.add(annotator)
+                    annotations.setdefault(annotator, [])
+                else:
+                    annotations.setdefault(annotator, []).append(edit)
+                continue
+            raise FormatError(f"unrecognized line {line[:40]!r}")
     close()
     return blocks
 
 
-def _parse_a_line(line: str, source_len: int, path: str, lineno: int) -> tuple[int, M2Edit | None]:
+def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
     fields = line[2:].split("|||")
     if len(fields) != 6:
-        raise FormatError(f"A line needs 6 |||-separated fields, got {len(fields)}", path=path, line=lineno)
+        raise FormatError(f"A line needs 6 |||-separated fields, got {len(fields)}")
     span_field, edit_type, replacement_field, required, none_field, annotator_field = fields
     if required != _REQUIRED_FIELD or none_field != _NONE_FIELD:
-        raise FormatError(
-            f"fields 4-5 must be {_REQUIRED_FIELD}|||{_NONE_FIELD}", path=path, line=lineno
-        )
+        raise FormatError(f"fields 4-5 must be {_REQUIRED_FIELD}|||{_NONE_FIELD}")
     span_parts = span_field.split()
     if len(span_parts) != 2:
-        raise FormatError(f"bad span {span_field!r}", path=path, line=lineno)
+        raise FormatError(f"bad span {span_field!r}")
     try:
         start, end = int(span_parts[0]), int(span_parts[1])
         annotator = int(annotator_field)
     except ValueError:
-        raise FormatError(f"non-integer span or annotator in {line!r}", path=path, line=lineno) from None
+        raise FormatError(f"non-integer span or annotator in {line!r}") from None
     if annotator < 0:
-        raise FormatError(f"negative annotator id {annotator}", path=path, line=lineno)
+        raise FormatError(f"negative annotator id {annotator}")
     if not edit_type or "|||" in edit_type:
-        raise FormatError(f"bad edit type {edit_type!r}", path=path, line=lineno)
+        raise FormatError(f"bad edit type {edit_type!r}")
     if start == -1 and end == -1:
         if edit_type != _NOOP_TYPE or replacement_field != _NONE_FIELD:
-            raise FormatError("a -1 -1 annotation must be noop|||-NONE-", path=path, line=lineno)
+            raise FormatError("a -1 -1 annotation must be noop|||-NONE-")
         return annotator, None
     if edit_type == _NOOP_TYPE:
-        raise FormatError("noop must use the -1 -1 span", path=path, line=lineno)
+        raise FormatError("noop must use the -1 -1 span")
     if not 0 <= start <= end <= source_len:
-        raise FormatError(
-            f"span [{start}, {end}) outside source of length {source_len}", path=path, line=lineno
-        )
-    if replacement_field == _NONE_FIELD:
-        replacement: TokenSeq = ()
-    else:
-        replacement = _split_tokens(replacement_field, path, lineno)
-    try:
-        span = EditSpan(start, end, replacement)
-    except ContractError as exc:
-        raise FormatError(str(exc), path=path, line=lineno) from None
-    return annotator, M2Edit(span, edit_type)
+        raise FormatError(f"span [{start}, {end}) outside source of length {source_len}")
+    replacement = () if replacement_field == _NONE_FIELD else _split_tokens(replacement_field)
+    return annotator, M2Edit(EditSpan(start, end, replacement), edit_type)
 
 
 def write_m2(path: str | Path, blocks: Iterable[M2Block]) -> None:

@@ -31,7 +31,8 @@ class FormatError(EditKitError, ValueError):
     """A file does not conform to its declared format.
 
     Carries the offending path and 1-based line number so batch tools can
-    report the exact position.
+    report the exact position.  Readers raise it with the message alone and
+    ``corpus.read_lines`` adds the position.
     """
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
@@ -40,8 +41,6 @@ class FormatError(EditKitError, ValueError):
         prefix = ""
         if path is not None:
             prefix = f"{path}: " if line is None else f"{path}:{line}: "
-        elif line is not None:
-            prefix = f"line {line}: "
         super().__init__(prefix + message)
 
 

@@ -13,9 +13,10 @@ A record is valid when ``tokens`` is a list of non-empty, whitespace-free
 strings, ``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size``
 numbers, and ``error_probs`` holds one number per row.  Every number must be a
 JSON number or boolean (no strings, no null), finite and within [0, 1], and
-each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader checks the
-structure in Python, then builds each record's arrays once and leaves the
-numeric checks to TagDistribution, so they run vectorised and only once.
+each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds
+each record's arrays once, checks the shape of ``rows`` and leaves the rest
+(the ``error_probs`` length and every numeric check) to TagDistribution, so
+they run vectorised and only once.
 JSON float serialization uses repr, which round-trips doubles exactly, so a
 write/read cycle is lossless.
 """
@@ -25,12 +26,12 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import read_lines, write_lines
-from .errors import ContractError, EditKitError, FormatError
+from .errors import EditKitError, FormatError
 from .spans import TokenSeq, validate_tokens
 from .tagger import TagDistribution
 from .vocab import TagVocab
@@ -59,107 +60,76 @@ def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution) -> st
     return json.dumps(record)
 
 
-def iter_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> Iterator[MatrixRecord]:
-    """Stream (tokens, distribution) records, validating as it goes.
+def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[MatrixRecord]:
+    """The (tokens, distribution) records of a v1 matrix file, validated as read.
 
     When ``vocab`` is given, the file's vocab hash must match it.  Any
     malformed record raises FormatError naming the file and line.
     """
-    spath = str(path)
-    lines = read_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise FormatError("empty matrix file: missing header", path=spath, line=1)
-    header = _parse_json(first[1], spath, 1)
+    with read_lines(path) as lines:
+        first = next(lines, None)
+        if first is None:
+            raise FormatError("empty matrix file: missing header", path=str(path), line=1)
+        vocab_id, vocab_size = _parse_header(first, vocab)
+        return [_parse_record(line, vocab_id, vocab_size) for line in lines if line.strip()]
+
+
+def _parse_header(line: str, vocab: TagVocab | None) -> tuple[str, int]:
+    header = _parse_json(line)
     if header.get("format") != MATRIX_FORMAT:
-        raise FormatError(f"expected format {MATRIX_FORMAT!r}, got {header.get('format')!r}", path=spath, line=1)
+        raise FormatError(f"expected format {MATRIX_FORMAT!r}, got {header.get('format')!r}")
     vocab_id = header.get("vocab_sha256")
     vocab_size = header.get("vocab_size")
     if not isinstance(vocab_id, str) or not isinstance(vocab_size, int) or vocab_size < 1:
-        raise FormatError("header needs a vocab_sha256 string and positive vocab_size", path=spath, line=1)
+        raise FormatError("header needs a vocab_sha256 string and positive vocab_size")
     if vocab is not None:
         if vocab.sha256 != vocab_id:
-            raise FormatError(
-                f"file was produced for vocab {vocab_id[:12]}..., expected {vocab.sha256[:12]}...",
-                path=spath,
-                line=1,
-            )
+            raise FormatError(f"file was produced for vocab {vocab_id[:12]}..., expected {vocab.sha256[:12]}...")
         if len(vocab) != vocab_size:
-            raise FormatError(f"header vocab_size {vocab_size} != vocab size {len(vocab)}", path=spath, line=1)
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        yield _parse_record(line, vocab_id, vocab_size, spath, lineno)
+            raise FormatError(f"header vocab_size {vocab_size} != vocab size {len(vocab)}")
+    return vocab_id, vocab_size
 
 
-def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[MatrixRecord]:
-    return list(iter_matrix_file(path, vocab))
-
-
-def _parse_json(line: str, path: str, lineno: int) -> dict:
+def _parse_json(line: str) -> dict:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+        raise FormatError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise FormatError("expected a JSON object", path=path, line=lineno)
+        raise FormatError("expected a JSON object")
     return obj
 
 
-def _parse_record(line: str, vocab_id: str, vocab_size: int, path: str, lineno: int) -> MatrixRecord:
-    obj = _parse_json(line, path, lineno)
+def _parse_record(line: str, vocab_id: str, vocab_size: int) -> MatrixRecord:
+    obj = _parse_json(line)
     missing = {"tokens", "rows", "error_probs"} - obj.keys()
     if missing:
-        raise FormatError(f"record is missing {sorted(missing)}", path=path, line=lineno)
+        raise FormatError(f"record is missing {sorted(missing)}")
     if not isinstance(obj["tokens"], list):
-        raise FormatError("bad tokens: expected a JSON list of strings", path=path, line=lineno)
+        raise FormatError("bad tokens: expected a JSON list of strings")
     try:
         tokens = validate_tokens(obj["tokens"])
     except EditKitError as exc:
-        raise FormatError(f"bad tokens: {exc}", path=path, line=lineno) from None
-    rows = obj["rows"]
-    error_probs = obj["error_probs"]
-    if not isinstance(rows, list) or len(rows) != len(tokens) + 1:
-        raise FormatError(
-            f"expected {len(tokens) + 1} rows ([START] + tokens), got {len(rows) if isinstance(rows, list) else '?'}",
-            path=path,
-            line=lineno,
-        )
-    if not isinstance(error_probs, list) or len(error_probs) != len(rows):
-        raise FormatError(
-            f"error_probs length {len(error_probs) if isinstance(error_probs, list) else '?'} "
-            f"does not match {len(rows)} rows",
-            path=path,
-            line=lineno,
-        )
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != vocab_size:
-            raise FormatError(
-                f"row {i} has length {len(row) if isinstance(row, list) else '?'}, vocab size is {vocab_size}",
-                path=path,
-                line=lineno,
-            )
-    rows_arr = _number_array(rows, "rows", path, lineno)
-    err_arr = _number_array(error_probs, "error_probs", path, lineno)
-    try:
-        return tokens, TagDistribution(vocab_id, rows_arr, err_arr)
-    except ContractError as exc:
-        raise FormatError(str(exc), path=path, line=lineno) from None
+        raise FormatError(f"bad tokens: {exc}") from None
+    rows = _number_array(obj["rows"], "rows")
+    shape = (len(tokens) + 1, vocab_size)
+    if rows.shape != shape:
+        raise FormatError(f"rows have shape {rows.shape}, expected {shape} ([START] + tokens by vocab size)")
+    return tokens, TagDistribution(vocab_id, rows, _number_array(obj["error_probs"], "error_probs"))
 
 
-def _number_array(values: list, what: str, path: str, lineno: int) -> np.ndarray:
+def _number_array(values: object, what: str) -> np.ndarray:
     """``values`` as a float64 array, refusing anything but JSON numbers and booleans.
 
     No dtype is passed to np.array: with dtype=float64 numpy would parse a
     numeric string such as "0.5" instead of refusing it.  Strings come back
-    with kind "U", null and out-of-range integers with kind "O", and nested
-    lists of uneven depth raise ValueError.
+    with kind "U", null, objects and out-of-range integers with kind "O", and
+    nested lists of uneven length or depth raise ValueError.
     """
-    message = f"{what} must hold only numbers"
     try:
         arr = np.array(values)
     except ValueError:
-        raise FormatError(message, path=path, line=lineno) from None
+        raise FormatError(f"{what} must be a rectangular array of numbers") from None
     if arr.dtype.kind not in "biuf":
-        raise FormatError(message, path=path, line=lineno)
+        raise FormatError(f"{what} must hold only numbers")
     return arr.astype(np.float64, copy=False)

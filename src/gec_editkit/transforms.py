@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .corpus import read_lines
 from .errors import ContractError, FormatError, InapplicableTransformError
+from .spans import validate_tokens
 from .tags import (
     AGREEMENT_DIRECTIONS,
     CASE_VARIANTS,
@@ -147,6 +148,7 @@ class VerbLexicon:
     def from_entries(cls, entries: Iterable[tuple[str, str, str]]) -> "VerbLexicon":
         forms: dict[tuple[str, str], str] = {}
         for base, key, form in entries:
+            validate_tokens((base, form))
             if key == BASE_FORM_KEY and form != base:
                 raise ContractError(f"{BASE_FORM_KEY} entry for {base!r} must equal the base, got {form!r}")
             slot = (base, key)
@@ -157,21 +159,9 @@ class VerbLexicon:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "VerbLexicon":
-        entries = []
-        for lineno, line in read_lines(path):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise FormatError("expected base<TAB>form_key<TAB>inflected", path=str(path), line=lineno)
-            base, key, form = parts
-            if "_" in key or any(ch.isspace() for ch in key):
-                raise FormatError(f"bad form key {key!r}", path=str(path), line=lineno)
-            entries.append((base, key, form))
-        try:
-            return cls.from_entries(entries)
-        except ContractError as exc:
-            raise FormatError(str(exc), path=str(path)) from None
+        """The lexicon of a ``base<TAB>form_key<TAB>inflected`` file; ``#`` starts a comment line."""
+        with read_lines(path) as lines:
+            return cls.from_entries(_lexicon_entry(line) for line in lines if line and not line.startswith("#"))
 
     @classmethod
     def bundled(cls) -> "VerbLexicon":
@@ -194,6 +184,16 @@ class VerbLexicon:
     def paradigm_slots(self, form: str) -> tuple[tuple[str, str], ...]:
         """All (base, key) pairs whose form equals ``form``, sorted."""
         return self._slots_by_form.get(form, ())
+
+
+def _lexicon_entry(line: str) -> tuple[str, str, str]:
+    parts = line.split("\t")
+    if len(parts) != 3 or not all(parts):
+        raise FormatError("expected base<TAB>form_key<TAB>inflected")
+    base, key, form = parts
+    if "_" in key or any(ch.isspace() for ch in key):
+        raise FormatError(f"bad form key {key!r}")
+    return base, key, form
 
 
 def _apply_verb(key_pair: str, token: str, lexicon: VerbLexicon | None) -> str:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .corpus import read_lines, write_lines
-from .errors import ContractError, EditKitError, FormatError
+from .errors import ContractError, FormatError
 from .tags import DELETE, KEEP, UNKNOWN, Tag, TagKind, format_tag, parse_tag
 
 if TYPE_CHECKING:
@@ -123,17 +123,8 @@ def write_vocab_file(path: str | Path, vocab: TagVocab) -> None:
 
 
 def read_vocab_file(path: str | Path) -> TagVocab:
-    spath = str(path)
-    lines = read_lines(path)
-    if next(lines, (1, None))[1] != VOCAB_FILE_HEADER:
-        raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}", path=spath, line=1)
-    tags = []
-    for lineno, line in lines:
-        try:
-            tags.append(parse_tag(line))
-        except EditKitError as exc:
-            raise FormatError(str(exc), path=spath, line=lineno) from None
-    try:
-        return TagVocab(tuple(tags))
-    except ContractError as exc:
-        raise FormatError(str(exc), path=spath) from None
+    with read_lines(path) as lines:
+        if next(lines, None) != VOCAB_FILE_HEADER:
+            # An empty file has no current line, so the position is given here.
+            raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}", path=str(path), line=1)
+        return TagVocab(tuple(parse_tag(line) for line in lines))

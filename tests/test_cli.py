@@ -101,6 +101,30 @@ def test_ensemble_vote_unanimous_members(workspace):
     assert out.read_bytes() == targets_txt.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--vocab", "--lexicon"])
+def test_vote_mode_refuses_flags_it_would_not_read(workspace, capsys, monkeypatch, flag):
+    import gec_editkit.cli as cli
+
+    tmp_path, _, eval_txt, _, targets_txt, vocab_path, _ = workspace
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for reader in ("read_sentences", "read_vocab_file", "_load_lexicon"):
+        monkeypatch.setattr(cli, reader, no_reading)
+    out = tmp_path / "vote.txt"
+    value = {"--vocab": str(vocab_path), "--lexicon": str(tmp_path / "missing.tsv")}[flag]
+    rc = main([
+        "ensemble", "--mode", "vote", "--source", str(eval_txt), "--output", str(out),
+        "--member", str(targets_txt), "--member", str(targets_txt), flag, value,
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag} is not read by --mode vote" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ensemble_average_single_member_matches_correct(workspace):
     tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
     plain = tmp_path / "plain.txt"
@@ -336,6 +360,9 @@ def test_members_sharing_a_tsv_are_encoded_once(workspace, monkeypatch):
 @pytest.mark.parametrize("command, flag, message", [
     ("distill", "--limit", "limit must be >= 1, got 0"),
     ("tune", "--trials", "trials must be >= 1, got 0"),
+    ("correct", "--max-iters", "max_iters must be >= 1, got 0"),
+    ("tune", "--max-iters", "max_iters must be >= 1, got 0"),
+    ("ensemble", "--max-iters", "max_iters must be >= 1, got 0"),
 ])
 def test_bad_counts_fail_before_any_input_is_read(workspace, capsys, monkeypatch, command, flag, message):
     import gec_editkit.cli as cli
@@ -350,7 +377,11 @@ def test_bad_counts_fail_before_any_input_is_read(workspace, capsys, monkeypatch
     out = tmp_path / "distilled.tsv"
     io_flags = {
         "distill": ["--input", str(eval_txt), "--output", str(out), "--member", f"baseline={train_tsv}"],
-        "tune": ["--gold", str(gold_m2), "--tagger", f"baseline={train_tsv}"],
+        # A flag given twice takes its last value, so --trials 0 still wins.
+        "tune": ["--gold", str(gold_m2), "--tagger", f"baseline={train_tsv}", "--trials", "1"],
+        "correct": ["--input", str(eval_txt), "--output", str(out), "--tagger", f"baseline={train_tsv}"],
+        "ensemble": ["--mode", "average", "--source", str(eval_txt), "--output", str(out),
+                     "--member", f"baseline={train_tsv}"],
     }[command]
     rc = main([command, *io_flags, "--vocab", str(vocab_path), flag, "0"])
     assert rc == 1

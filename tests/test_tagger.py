@@ -212,6 +212,9 @@ def test_matrix_errors_carry_line_numbers(tmp_path, small_vocab):
         (header + "\n" + record([uniform, [0.5] * v], [0.0, 0.0]), 2, "sums"),
         (header + "\n" + record([uniform, uniform], [0.0, 0.0], tokens="5"), 2, "tokens"),
         (header + "\n" + record([uniform, uniform], [0.0, 0.0], tokens="[5]"), 2, "tokens"),
+        (header + "\n" + record(5, [0.0, 0.0]), 2, "rows"),
+        (header + "\n" + record({}, [0.0, 0.0]), 2, "rows"),
+        (header + "\n" + record([], [0.0, 0.0]), 2, "rows"),
     ]
     # Bad probability values, in a row or in error_probs.  A numeric string
     # must fail although np.asarray(..., dtype=float64) would parse it.

@@ -175,6 +175,34 @@ def test_lexicon_file_errors(tmp_path):
         VerbLexicon.from_path(dup)
 
 
+def test_lexicon_duplicate_is_reported_at_its_line(tmp_path):
+    dup = tmp_path / "dup.tsv"
+    dup.write_text("go\tVBZ\tgoes\nsee\tVBZ\tsees\ngo\tVBZ\tgoez\nbe\tVBZ\tis\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        VerbLexicon.from_path(dup)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{dup}:3: duplicate lexicon entry")
+
+
+@pytest.mark.parametrize("entry", ["go now\tVBZ\tgoes", "go\tVBZ\tgoes now", "go\tVBZ\tgo\u00a0es"])
+def test_lexicon_file_refuses_whitespace_in_tokens(tmp_path, entry):
+    path = tmp_path / "verbs.tsv"
+    path.write_text(entry + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        VerbLexicon.from_path(path)
+    assert exc.value.line == 1
+    assert str(exc.value).startswith(f"{path}:1: token contains whitespace")
+
+
+def test_lexicon_entries_refuse_whitespace_in_tokens():
+    with pytest.raises(ContractError, match="whitespace"):
+        VerbLexicon.from_entries([("go now", "VBZ", "goes")])
+    with pytest.raises(ContractError, match="whitespace"):
+        VerbLexicon.from_entries([("go", "VBZ", "goes now")])
+    with pytest.raises(ContractError, match="empty token"):
+        VerbLexicon.from_entries([("go", "VBZ", "")])
+
+
 def test_lexicon_reverse_lookup_prefers_smallest_base():
     lex = VerbLexicon.from_entries([("lie", "VBD", "lay"), ("lay", "VBD", "laid")])
     # "lay" is both a base and the VBD of "lie"; VB lookup resolves to the base.
