@@ -46,7 +46,7 @@ from .errors import (
 from .matrix_io import read_matrix_file, write_matrix_file
 from .score import ScoreReport, SentenceScore, f_beta, score_corpus, score_sentence
 from .spans import EditSpan, TokenSeq, apply_edits, validate_tokens
-from .tagger import BaselineTagger, MatrixTagger, TagBatch, TagDistribution, Tagger, train_baseline, train_baselines
+from .tagger import BaselineTagger, MatrixTagger, TagDistribution, Tagger, train_baseline, train_baselines
 from .tags import Tag, TagKind, TagSeq, format_tag, parse_tag
 from .transforms import VerbLexicon, apply_transform, detect_transform
 from .tune import TuneResult, tune_hyperparams
@@ -74,7 +74,6 @@ __all__ = [
     "SentenceScore",
     "SpanRangeError",
     "Tag",
-    "TagBatch",
     "TagDistribution",
     "TagKind",
     "TagParseError",

@@ -106,7 +106,9 @@ def _at_least_one(name: str, value: int) -> None:
 
 
 def _hp(args: argparse.Namespace) -> Hyperparams:
-    return Hyperparams(args.ac, args.mep, args.max_iters)
+    """The hyperparameters given on the command line; Hyperparams fills in the rest."""
+    given = {name: getattr(args, name, None) for name in ("ac", "mep", "max_iters")}
+    return Hyperparams(**{name: value for name, value in given.items() if value is not None})
 
 
 def _quorum(args: argparse.Namespace, n_members: int) -> int | None:
@@ -170,7 +172,9 @@ def cmd_correct(args: argparse.Namespace) -> int:
 def cmd_ensemble(args: argparse.Namespace) -> int:
     n_min = _quorum(args, len(args.member))
     if args.mode == "vote":
-        for flag, value in (("--vocab", args.vocab), ("--lexicon", args.lexicon)):
+        unread = {"--vocab": args.vocab, "--lexicon": args.lexicon, "--ac": args.ac, "--mep": args.mep,
+                  "--max-iters": args.max_iters}
+        for flag, value in unread.items():
             if value is not None:
                 raise ContractError(f"{flag} is not read by --mode vote, which combines the members' output text")
         sources = read_sentences(args.source)
@@ -178,8 +182,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
                 raise InputError(f"{path} has {len(outputs)} sentences, {args.source} has {len(sources)}")
-        rows = list(zip(*member_outputs)) if member_outputs else []
-        corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, rows)]
+        corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, zip(*member_outputs))]
     else:
         hp = _hp(args)
         if not args.vocab:
@@ -206,7 +209,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     _at_least_one("trials", args.trials)
-    base = Hyperparams(max_iters=args.max_iters)
+    base = _hp(args)
     lexicon = _load_lexicon(args)
     vocab = read_vocab_file(args.vocab)
     (tagger,) = _build_taggers([args.tagger], vocab, lexicon)
@@ -250,9 +253,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _add_hp_flags(p: argparse.ArgumentParser, n_min: bool = False) -> None:
-    p.add_argument("--ac", type=float, default=0.0, help="extra confidence added to KEEP (default 0)")
-    p.add_argument("--mep", type=float, default=0.0, help="minimum error probability (default 0)")
-    p.add_argument("--max-iters", type=int, default=4, help="correction passes (default 4)")
+    p.add_argument("--ac", type=float, help="extra confidence added to KEEP (default 0)")
+    p.add_argument("--mep", type=float, help="minimum error probability (default 0)")
+    p.add_argument("--max-iters", type=int, help="correction passes (default 4)")
     if n_min:
         p.add_argument("--n-min", type=int, default=None, help="vote mode's quorum (default members - 1)")
 
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tagger", required=True, help="matrix=PATH or baseline=PATH[,cw=N][,sm=X]")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=4)
+    p.add_argument("--max-iters", type=int, help="correction passes (default 4)")
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_tune)
 

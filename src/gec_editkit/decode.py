@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractError
 from .spans import TokenSeq
 from .tags import KEEP, Tag, TagKind, TagSeq
-from .tagger import TagBatch, TagDistribution, Tagger, predict_stack
+from .tagger import TagDistribution, Tagger, predict_stack
 from .transforms import InapplicableTransformError, apply_transform
 from .vocab import TagVocab
 
@@ -62,11 +62,11 @@ class CorrectionResult:
 
 
 def select_tags(dist: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> TagSeq:
-    """Pick one tag per position of one sentence: select_batch on a batch of one."""
-    return select_batch(TagBatch.stack([dist]), vocab, ac, mep)[0]
+    """Pick one tag per position of one sentence: select_batch's first sentence."""
+    return select_batch(dist, vocab, ac, mep)[0]
 
 
-def select_batch(batch: TagBatch, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> list[TagSeq]:
+def select_batch(batch: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> list[TagSeq]:
     """Pick one tag per position of every sentence in ``batch`` under the AC/MEP tweaks.
 
     KEEP gets ``ac`` added to its probability before the argmax (rows are not
@@ -150,7 +150,7 @@ def apply_tags(
 
 
 def decode_iteratively(
-    predict_batch: Callable[[list[TokenSeq]], TagBatch],
+    predict_batch: Callable[[list[TokenSeq]], TagDistribution],
     vocab: TagVocab,
     sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
@@ -185,7 +185,7 @@ def decode_iteratively(
     return [CorrectionResult(out, len(tags), tuple(tags)) for out, tags in zip(cur, history)]
 
 
-def _check_layout(batch: TagBatch, n_tokens: list[int]) -> None:
+def _check_layout(batch: TagDistribution, n_tokens: list[int]) -> None:
     starts = [0]
     for n in n_tokens:
         starts.append(starts[-1] + n + 1)

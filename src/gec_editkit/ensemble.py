@@ -17,21 +17,21 @@ import numpy as np
 from .align import extract_edits
 from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
-from .spans import EditSpan, TokenSeq, apply_edits
-from .tagger import TagBatch, TagDistribution, Tagger, predict_stack
+from .spans import EditSpan, TokenSeq, apply_edits, edits_conflict
+from .tagger import TagDistribution, Tagger, predict_stack
 
 if TYPE_CHECKING:
     from .transforms import VerbLexicon
 
 
-def average_distributions(dists: Sequence[TagDistribution | TagBatch]) -> TagDistribution | TagBatch:
+def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
     """Element-wise mean of rows and error probabilities.
 
     Members must agree on vocabulary and shape (span voting is the mode that
-    tolerates mixed vocabularies); batches must also split their rows into the
-    same sentences.  Each element is averaged as min + sum(sorted
-    deviations)/k, which makes the result independent of member order and
-    reproduces a k-copy ensemble's distribution exactly.  The mean of batches
+    tolerates mixed vocabularies) and split their rows into the same
+    sentences.  Each element is averaged as min + sum(sorted deviations)/k,
+    which makes the result independent of member order and reproduces a
+    k-copy ensemble's distribution exactly.  The mean of stacked sentences
     is, sentence by sentence, the mean of their distributions.
     """
     if not dists:
@@ -42,7 +42,7 @@ def average_distributions(dists: Sequence[TagDistribution | TagBatch]) -> TagDis
             raise ContractError(f"member {i} uses vocab {d.vocab_id[:12]}..., member 0 uses {head.vocab_id[:12]}...")
         if d.rows.shape != head.rows.shape:
             raise ContractError(f"member {i} has shape {d.rows.shape}, member 0 has {head.rows.shape}")
-        if isinstance(d, TagBatch) and not np.array_equal(d.starts, head.starts):
+        if not np.array_equal(d.starts, head.starts):
             raise ContractError(f"member {i} splits its rows into other sentences than member 0")
     rows = _orderless_mean([d.rows for d in dists])
     err = _orderless_mean([d.error_probs for d in dists])
@@ -78,13 +78,6 @@ def tally_votes(source: Sequence[str], model_outputs: Sequence[Sequence[str]]) -
     return VoteTally(votes)
 
 
-def _conflicts(a: EditSpan, b: EditSpan) -> bool:
-    lo, hi = (a, b) if (a.start, a.end) <= (b.start, b.end) else (b, a)
-    if hi.start < lo.end:
-        return True
-    return a.is_insertion and b.is_insertion and a.start == b.start
-
-
 def _resolve_conflicts(candidates: list[tuple[EditSpan, int]]) -> list[EditSpan]:
     # Strongest first: more votes, then earlier start, then shorter span,
     # then lexicographically smaller replacement.
@@ -94,7 +87,7 @@ def _resolve_conflicts(candidates: list[tuple[EditSpan, int]]) -> list[EditSpan]
     )
     kept: list[EditSpan] = []
     for edit, _ in ranked:
-        if not any(_conflicts(edit, other) for other in kept):
+        if not any(edits_conflict(edit, other) for other in kept):
             kept.append(edit)
     kept.sort(key=EditSpan.sort_key)
     return kept
@@ -131,7 +124,7 @@ def average_correct_batch(
         if t.vocab.sha256 != vocab.sha256:
             raise ContractError(f"member {i} uses a different tag vocabulary; averaging requires identical vocabs")
 
-    def predict_batch(active: list[TokenSeq]) -> TagBatch:
+    def predict_batch(active: list[TokenSeq]) -> TagDistribution:
         return average_distributions([predict_stack(t, active) for t in taggers])
 
     return [r.output for r in decode_iteratively(predict_batch, vocab, sentences, hp, lexicon)]

@@ -50,6 +50,8 @@ def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[Matri
 def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution) -> str:
     if dist.vocab_id != vocab.sha256:
         raise FormatError(f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)")
+    if len(dist.starts) != 1:
+        raise FormatError(f"record for {' '.join(tokens)!r} stacks {len(dist.starts)} sentences, not one")
     if dist.positions != len(tokens) + 1:
         raise FormatError(f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens")
     record = {

@@ -54,13 +54,17 @@ class EditSpan:
         return (self.start, self.end)
 
 
+def edits_conflict(a: EditSpan, b: EditSpan) -> bool:
+    """Whether two edits cannot apply together: they overlap, or both insert at one point."""
+    lo, hi = (a, b) if a.sort_key() <= b.sort_key() else (b, a)
+    return hi.start < lo.end or (a.is_insertion and b.is_insertion and a.start == b.start)
+
+
 def _check_compatible(edits: Sequence[EditSpan]) -> list[EditSpan]:
     ordered = sorted(edits, key=EditSpan.sort_key)
     for prev, cur in zip(ordered, ordered[1:]):
-        if cur.start < prev.end:
-            raise EditOverlapError(f"edits overlap: {prev} and {cur}")
-        if prev.is_insertion and cur.is_insertion and prev.start == cur.start:
-            raise EditOverlapError(f"two insertions at the same point: {prev} and {cur}")
+        if edits_conflict(prev, cur):
+            raise EditOverlapError(f"edits conflict (they overlap or insert at one point): {prev} and {cur}")
     return ordered
 
 

@@ -31,101 +31,73 @@ START_MARKER = "[START]"
 PAD_MARKER = "[PAD]"
 
 
-def _checked(
-    rows: np.ndarray, error_probs: np.ndarray, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and ``error_probs`` as read-only float64 arrays, once they pass every check.
-
-    ``starts``, when given, is the first row of each sentence stacked in
-    ``rows``.  A row that does not sum to 1 is named by its position in its
-    own sentence, so a stack fails with the message its sentence alone would.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    err = np.asarray(error_probs, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ContractError(f"rows must be a 2-D matrix with at least the START row, got shape {rows.shape}")
-    if err.shape != (rows.shape[0],):
-        raise ContractError(
-            f"error_probs length {err.shape} does not match {rows.shape[0]} positions"
-        )
-    if starts is not None and (starts[0] != 0 or starts[-1] >= rows.shape[0] or (starts[1:] <= starts[:-1]).any()):
-        raise ContractError(f"sentence starts must rise from 0 and stay below {rows.shape[0]} rows")
-    # min and max are NaN when any element is NaN, and infinite when any is.
-    bounds = [float(err.min()), float(err.max())]
-    if rows.size:
-        bounds += [float(rows.min()), float(rows.max())]
-    if not all(map(math.isfinite, bounds)):
-        raise ContractError("probabilities must be finite")
-    if rows.size and (bounds[2] < 0.0 or bounds[3] > 1.0):
-        raise ContractError("row probabilities must lie in [0, 1]")
-    if bounds[0] < 0.0 or bounds[1] > 1.0:
-        raise ContractError("error probabilities must lie in [0, 1]")
-    sums = rows.sum(axis=1)
-    bad = np.abs(sums - 1.0) > CONSTRUCT_SUM_TOL
-    if bad.any():
-        row = int(np.argmax(bad))
-        pos = row if starts is None else row - int(starts[np.searchsorted(starts, row, side="right") - 1])
-        raise ContractError(f"row {pos} sums to {sums[row]!r}, not 1")
-    rows.flags.writeable = False
-    err.flags.writeable = False
-    return rows, err
-
-
 @dataclass(frozen=True, eq=False)
 class TagDistribution:
     """Per-position probability rows over a tag vocab, plus error detection.
 
-    Row 0 is the START position; rows has shape (len(tokens) + 1, vocab size).
-    ``error_probs[p]`` is the probability that position p needs an edit.
+    The rows of one sentence or of several stacked: sentence i owns the rows
+    from ``starts[i]`` up to the next start (or the end), START row first, so
+    one sentence of n tokens has n + 1 rows.  ``error_probs[p]`` is the
+    probability that position p needs an edit.  Construction checks shapes,
+    that every value is finite and within [0, 1], and that every row sums to
+    1; a row that does not is named by its position in its own sentence, so a
+    stack fails with the message its sentence alone would.
     """
 
     vocab_id: str
     rows: np.ndarray
     error_probs: np.ndarray
+    starts: np.ndarray = (0,)
 
     def __post_init__(self) -> None:
-        rows, err = _checked(self.rows, self.error_probs)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "error_probs", err)
+        rows = np.asarray(self.rows, dtype=np.float64)
+        err = np.asarray(self.error_probs, dtype=np.float64)
+        starts = np.array(self.starts, dtype=np.intp, ndmin=1)
+        if starts.ndim != 1 or not starts.size:
+            raise ContractError(f"starts must be a non-empty 1-D array, got shape {starts.shape}")
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise ContractError(f"rows must be a 2-D matrix with at least the START row, got shape {rows.shape}")
+        if err.shape != (rows.shape[0],):
+            raise ContractError(
+                f"error_probs length {err.shape} does not match {rows.shape[0]} positions"
+            )
+        if starts[0] != 0 or starts[-1] >= rows.shape[0] or (starts[1:] <= starts[:-1]).any():
+            raise ContractError(f"sentence starts must rise from 0 and stay below {rows.shape[0]} rows")
+        # min and max are NaN when any element is NaN, and infinite when any is.
+        bounds = [float(err.min()), float(err.max())]
+        if rows.size:
+            bounds += [float(rows.min()), float(rows.max())]
+        if not all(map(math.isfinite, bounds)):
+            raise ContractError("probabilities must be finite")
+        if rows.size and (bounds[2] < 0.0 or bounds[3] > 1.0):
+            raise ContractError("row probabilities must lie in [0, 1]")
+        if bounds[0] < 0.0 or bounds[1] > 1.0:
+            raise ContractError("error probabilities must lie in [0, 1]")
+        sums = rows.sum(axis=1)
+        bad = np.abs(sums - 1.0) > CONSTRUCT_SUM_TOL
+        if bad.any():
+            row = int(np.argmax(bad))
+            pos = row - int(starts[np.searchsorted(starts, row, side="right") - 1])
+            raise ContractError(f"row {pos} sums to {sums[row]!r}, not 1")
+        for name, value in (("rows", rows), ("error_probs", err), ("starts", starts)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def positions(self) -> int:
         return self.rows.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class TagBatch:
-    """The distributions of several sentences, rows stacked in one array.
-
-    Sentence i owns the rows from ``starts[i]`` up to the next start (or the
-    end), START row first.  Construction runs TagDistribution's checks, with
-    the same tolerance and messages, once over the whole stack.
-    """
-
-    vocab_id: str
-    rows: np.ndarray
-    error_probs: np.ndarray
-    starts: np.ndarray
-
-    def __post_init__(self) -> None:
-        starts = np.array(self.starts, dtype=np.intp, ndmin=1)
-        if starts.ndim != 1 or not starts.size:
-            raise ContractError(f"starts must be a non-empty 1-D array, got shape {starts.shape}")
-        rows, err = _checked(self.rows, self.error_probs, starts)
-        starts.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "error_probs", err)
-        object.__setattr__(self, "starts", starts)
-
     @classmethod
-    def stack(cls, dists: Sequence[TagDistribution]) -> "TagBatch":
+    def stack(cls, dists: Sequence["TagDistribution"]) -> "TagDistribution":
+        """The rows of ``dists`` stacked in order, each input's sentences kept apart."""
         if not dists:
             raise ContractError("need at least one distribution")
         head = dists[0]
         for i, d in enumerate(dists[1:], start=1):
             if d.vocab_id != head.vocab_id:
                 raise ContractError(f"distribution {i} uses vocab {d.vocab_id[:12]}..., distribution 0 uses {head.vocab_id[:12]}...")
-        starts = list(accumulate((d.positions for d in dists[:-1]), initial=0))
+        offsets = accumulate((d.positions for d in dists[:-1]), initial=0)
+        starts = np.concatenate([d.starts + offset for d, offset in zip(dists, offsets)])
         rows = np.concatenate([d.rows for d in dists])
         return cls(head.vocab_id, rows, np.concatenate([d.error_probs for d in dists]), starts)
 
@@ -133,8 +105,9 @@ class TagBatch:
 class Tagger(Protocol):
     """The pluggable prediction boundary used by the decoding pipeline.
 
-    A tagger may also offer ``predict_batch(sentences) -> TagBatch``, one
-    call for many sentences; predict_stack serves those that do not.
+    A tagger may also offer ``predict_batch(sentences) -> TagDistribution``,
+    one call for many sentences stacked; predict_stack serves those that do
+    not.
     """
 
     vocab: TagVocab
@@ -142,12 +115,12 @@ class Tagger(Protocol):
     def predict(self, tokens: Sequence[str]) -> TagDistribution: ...
 
 
-def predict_stack(tagger: Tagger, sentences: Sequence[TokenSeq]) -> TagBatch:
+def predict_stack(tagger: Tagger, sentences: Sequence[TokenSeq]) -> TagDistribution:
     """``tagger.predict_batch(sentences)``, or its ``predict`` results stacked."""
     batched = getattr(tagger, "predict_batch", None)
     if batched is not None:
         return batched(sentences)
-    return TagBatch.stack([tagger.predict(tokens) for tokens in sentences])
+    return TagDistribution.stack([tagger.predict(tokens) for tokens in sentences])
 
 
 def keep_certain_distribution(vocab: TagVocab, n_tokens: int) -> TagDistribution:
@@ -191,7 +164,10 @@ class BaselineTagger:
         if not smoothing > 0.0:
             raise ContractError("smoothing must be positive so unseen contexts stay normalized")
 
-    def _rows(self, sentences: Sequence[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, tokens: Sequence[str]) -> TagDistribution:
+        return self.predict_batch([tokens])
+
+    def predict_batch(self, sentences: Sequence[Sequence[str]]) -> TagDistribution:
         # Every position's row starts at the smoothing value and gets its
         # context's seen counts scattered in; no dense per-context table is
         # kept, since at a 5000-tag vocab each row costs 40 KB.
@@ -208,14 +184,9 @@ class BaselineTagger:
                 hit_counts.extend(seen.values())
         rows[hit_rows, hit_cols] += hit_counts
         rows /= rows.sum(axis=1, keepdims=True)
-        return rows, np.clip(1.0 - rows[:, self.vocab.keep_index], 0.0, 1.0)
-
-    def predict(self, tokens: Sequence[str]) -> TagDistribution:
-        return TagDistribution(self.vocab.sha256, *self._rows([tokens]))
-
-    def predict_batch(self, sentences: Sequence[Sequence[str]]) -> TagBatch:
+        err = np.clip(1.0 - rows[:, self.vocab.keep_index], 0.0, 1.0)
         starts = list(accumulate((len(tokens) + 1 for tokens in sentences[:-1]), initial=0))
-        return TagBatch(self.vocab.sha256, *self._rows(sentences), starts)
+        return TagDistribution(self.vocab.sha256, rows, err, starts)
 
 
 def train_baselines(
@@ -284,5 +255,7 @@ class MatrixTagger:
                     f"record for {' '.join(tokens)!r} carries vocab {dist.vocab_id[:12]}..., "
                     f"expected {vocab.sha256[:12]}..."
                 )
+            if len(dist.starts) != 1:
+                raise ContractError(f"record for {' '.join(tokens)!r} stacks {len(dist.starts)} sentences, not one")
             table.setdefault(tuple(tokens), dist)
         return cls(vocab, table)

@@ -18,7 +18,6 @@ from gec_editkit import (
     ContractError,
     CorrectionResult,
     Hyperparams,
-    TagBatch,
     TagDistribution,
     apply_tags,
     average_correct_batch,
@@ -190,7 +189,7 @@ def test_batch_check_fails_as_the_sentence_would_alone(corrupt):
     with pytest.raises(ContractError) as alone:
         TagDistribution(VOCAB.sha256, rows[1], errs[1])
     with pytest.raises(ContractError) as stacked:
-        TagBatch(VOCAB.sha256, np.concatenate(rows), np.concatenate(errs), [0, 3, 8])
+        TagDistribution(VOCAB.sha256, np.concatenate(rows), np.concatenate(errs), [0, 3, 8])
     assert str(stacked.value) == str(alone.value)
     if corrupt == "sum":
         assert str(alone.value).startswith("row 3 sums to ")
@@ -198,10 +197,10 @@ def test_batch_check_fails_as_the_sentence_would_alone(corrupt):
 
 def test_batch_rejects_starts_that_do_not_split_its_rows():
     rng = random.Random(6)
-    stack = TagBatch.stack([random_distribution(rng, VOCAB, n) for n in (2, 4)])
+    stack = TagDistribution.stack([random_distribution(rng, VOCAB, n) for n in (2, 4)])
     for starts in ([1, 3], [0, 0], [0, 3, 2], [0, 9], []):
         with pytest.raises(ContractError):
-            TagBatch(VOCAB.sha256, stack.rows, stack.error_probs, starts)
+            TagDistribution(VOCAB.sha256, stack.rows, stack.error_probs, starts)
 
 
 def test_decoder_rejects_rows_that_do_not_fit_the_sentences():

@@ -101,7 +101,7 @@ def test_ensemble_vote_unanimous_members(workspace):
     assert out.read_bytes() == targets_txt.read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--vocab", "--lexicon"])
+@pytest.mark.parametrize("flag", ["--vocab", "--lexicon", "--ac", "--mep", "--max-iters"])
 def test_vote_mode_refuses_flags_it_would_not_read(workspace, capsys, monkeypatch, flag):
     import gec_editkit.cli as cli
 
@@ -113,7 +113,13 @@ def test_vote_mode_refuses_flags_it_would_not_read(workspace, capsys, monkeypatc
     for reader in ("read_sentences", "read_vocab_file", "_load_lexicon"):
         monkeypatch.setattr(cli, reader, no_reading)
     out = tmp_path / "vote.txt"
-    value = {"--vocab": str(vocab_path), "--lexicon": str(tmp_path / "missing.tsv")}[flag]
+    value = {
+        "--vocab": str(vocab_path),
+        "--lexicon": str(tmp_path / "missing.tsv"),
+        "--ac": "0.9",
+        "--mep": "0.9",
+        "--max-iters": "7",
+    }[flag]
     rc = main([
         "ensemble", "--mode", "vote", "--source", str(eval_txt), "--output", str(out),
         "--member", str(targets_txt), "--member", str(targets_txt), flag, value,

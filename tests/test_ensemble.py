@@ -61,8 +61,14 @@ def test_average_arithmetic():
 
 def test_average_permutation_invariance(vocab):
     rng = random.Random(3)
-    for _ in range(30):
-        dists = [random_distribution(rng, vocab, 3) for _ in range(4)]
+    def single():
+        return random_distribution(rng, vocab, 3)
+
+    def stacked():
+        return TagDistribution.stack([random_distribution(rng, vocab, n) for n in (0, 2, 1)])
+
+    for make in [single] * 30 + [stacked] * 10:
+        dists = [make() for _ in range(4)]
         base = average_distributions(dists)
         for _ in range(4):
             rng.shuffle(dists)
@@ -81,6 +87,10 @@ def test_average_mismatch_names_offender(vocab):
     short = random_distribution(rng, vocab, 1)
     with pytest.raises(ContractError, match="member 2"):
         average_distributions([good, good, short])
+    # Same rows, split into two sentences instead of one.
+    split = TagDistribution(vocab.sha256, good.rows, good.error_probs, [0, 1])
+    with pytest.raises(ContractError, match="member 1"):
+        average_distributions([good, split])
 
 
 def test_tally_and_majority_vote_by_hand():

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gec_editkit import ContractError, EditOverlapError, EditSpan, SpanRangeError, apply_edits
+from gec_editkit.spans import edits_conflict
 
 from gen import random_edit_list, random_tokens
 
@@ -61,6 +64,29 @@ def test_two_insertions_at_same_point_rejected():
 def test_insertion_inside_span_rejected():
     with pytest.raises(EditOverlapError):
         apply_edits(("a", "b", "c"), [EditSpan(0, 2, ("x",)), EditSpan(1, 1, ("y",))])
+
+
+SOURCE = ("a", "b", "c", "d")
+
+
+@st.composite
+def edits_in_source(draw):
+    start = draw(st.integers(0, len(SOURCE)))
+    end = draw(st.integers(start, len(SOURCE)))
+    replacement = tuple(draw(st.lists(st.sampled_from(("x", "y")), min_size=int(start == end), max_size=2)))
+    return EditSpan(start, end, replacement)
+
+
+@given(edits_in_source(), edits_in_source())
+def test_apply_edits_refuses_exactly_the_pairs_that_conflict(a, b):
+    conflict = edits_conflict(a, b)
+    assert edits_conflict(b, a) == conflict
+    for pair in ([a, b], [b, a]):
+        if conflict:
+            with pytest.raises(EditOverlapError):
+                apply_edits(SOURCE, pair)
+        else:
+            apply_edits(SOURCE, pair)
 
 
 def test_insertion_at_span_boundaries_allowed():

@@ -327,6 +327,23 @@ def test_matrix_write_rejects_foreign_records(tmp_path, small_vocab):
         write_matrix_file(tmp_path / "m.jsonl", small_vocab, [(("one",), short)])
 
 
+def test_matrix_write_refuses_a_record_of_stacked_sentences(tmp_path, small_vocab):
+    # Two empty sentences stacked have the two rows one token needs.
+    rng = random.Random(81)
+    stacked = TagDistribution.stack([random_distribution(rng, small_vocab, 0) for _ in range(2)])
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(FormatError, match="stacks 2 sentences"):
+        write_matrix_file(path, small_vocab, [(("one",), stacked)])
+    assert not path.exists()
+
+
+def test_matrix_tagger_refuses_a_record_of_stacked_sentences(small_vocab):
+    rng = random.Random(82)
+    stacked = TagDistribution.stack([random_distribution(rng, small_vocab, 0) for _ in range(2)])
+    with pytest.raises(ContractError, match="stacks 2 sentences"):
+        MatrixTagger.from_records(small_vocab, [(("one",), stacked)])
+
+
 def test_matrix_write_failure_leaves_no_partial_file(tmp_path, small_vocab):
     rng = random.Random(82)
     good = (("a",), random_distribution(rng, small_vocab, 1))
