@@ -10,17 +10,13 @@ codes directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
-from .decode import apply_tags
 from .spans import EditSpan, TokenSeq
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
-from .transforms import detect_transform
-
-if TYPE_CHECKING:
-    from .transforms import VerbLexicon
+from .transforms import VerbLexicon, apply_tags, detect_transform
 
 try:
     from . import _levenshtein_c as _kernel  # type: ignore[no-redef]
@@ -92,7 +88,7 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan
 def encode_tags(
     source: Sequence[str],
     target: Sequence[str],
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> TagSeq:
     """Encode one correction pass from ``source`` toward ``target``.
 
@@ -144,7 +140,7 @@ def encode_tags(
 def encode_passes(
     source: Sequence[str],
     target: Sequence[str],
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> Iterator[tuple[TokenSeq, TagSeq]]:
     """Run the encoder to convergence, yielding ``(sentence, tags)`` per pass.
 

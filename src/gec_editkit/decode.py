@@ -9,25 +9,24 @@ max_iters, because some corrections only become expressible after others.
 It works on a batch of sentences at a time, the way sequence taggers infer:
 one prediction, one validation and one vectorised selection per pass for all
 sentences not yet converged.  Every decoder (one tagger, the averaging
-ensemble, one sentence or a corpus) runs through it.
+ensemble, one sentence or a corpus) runs through it.  Applying the selected
+tags is transforms.apply_tags, the same function the encoder's passes use;
+this module re-exports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .spans import TokenSeq
-from .tags import KEEP, Tag, TagKind, TagSeq
+from .tags import KEEP, TagSeq
 from .tagger import TagDistribution, Tagger, predict_stack
-from .transforms import InapplicableTransformError, apply_transform
+from .transforms import VerbLexicon, apply_tags
 from .vocab import TagVocab
-
-if TYPE_CHECKING:
-    from .transforms import VerbLexicon
 
 # A decoding batch holds at most this many float64 elements per row array
 # (128 KiB), and at least one sentence: about 120 short desk sentences at a
@@ -62,7 +61,9 @@ class CorrectionResult:
 
 
 def select_tags(dist: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: float = 0.0) -> TagSeq:
-    """Pick one tag per position of one sentence: select_batch's first sentence."""
+    """Pick one tag per position of one sentence (see select_batch)."""
+    if len(dist.starts) != 1:
+        raise ContractError(f"select_tags takes one sentence, got {len(dist.starts)} stacked; use select_batch")
     return select_batch(dist, vocab, ac, mep)[0]
 
 
@@ -98,63 +99,12 @@ def select_batch(batch: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: 
     ]
 
 
-def apply_tags(
-    tokens: Sequence[str],
-    tags: Sequence[Tag],
-    lexicon: "VerbLexicon | None" = None,
-) -> TokenSeq:
-    """Apply one tag per position ([START] + tokens) to the sentence.
-
-    Transforms that turn out inapplicable fall back to KEEP, as does MERGE on
-    the last token; a MERGE consumes the next token, whose own tag is ignored.
-    UNKNOWN acts as KEEP.
-    """
-    toks = tuple(tokens)
-    if len(tags) != len(toks) + 1:
-        raise ContractError(f"{len(tags)} tags for {len(toks)} tokens (need tokens + 1)")
-    out: list[str] = []
-    start = tags[0]
-    if start.kind is TagKind.APPEND:
-        out.append(start.payload)
-    elif start.kind is not TagKind.KEEP:
-        raise ContractError(f"START position cannot carry {start.kind.value}")
-    skip_next = False
-    for i, token in enumerate(toks):
-        if skip_next:
-            skip_next = False
-            continue
-        tag = tags[i + 1]
-        kind = tag.kind
-        if kind in (TagKind.KEEP, TagKind.UNKNOWN):
-            out.append(token)
-        elif kind is TagKind.DELETE:
-            pass
-        elif kind is TagKind.APPEND:
-            out.append(token)
-            out.append(tag.payload)
-        elif kind is TagKind.REPLACE:
-            out.append(tag.payload)
-        elif kind is TagKind.MERGE:
-            if i + 1 < len(toks):
-                out.append(token + toks[i + 1])
-                skip_next = True
-            else:
-                out.append(token)
-        else:
-            next_token = toks[i + 1] if i + 1 < len(toks) else None
-            try:
-                out.extend(apply_transform(tag, token, next_token, lexicon))
-            except InapplicableTransformError:
-                out.append(token)
-    return tuple(out)
-
-
 def decode_iteratively(
     predict_batch: Callable[[list[TokenSeq]], TagDistribution],
     vocab: TagVocab,
     sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> list[CorrectionResult]:
     """Predict, select, apply, repeat: the one decoding loop, one result per sentence.
 
@@ -211,7 +161,7 @@ def run_pipeline_batch(
     tagger: Tagger,
     sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> list[CorrectionResult]:
     """Iteratively correct every sentence with one tagger (see decode_iteratively).
 
@@ -225,7 +175,7 @@ def run_pipeline(
     tagger: Tagger,
     tokens: Sequence[str],
     hp: Hyperparams = Hyperparams(),
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> CorrectionResult:
     """Iteratively correct one sentence with one tagger: a batch of one."""
     return run_pipeline_batch(tagger, [tokens], hp, lexicon)[0]

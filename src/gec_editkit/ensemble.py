@@ -10,7 +10,7 @@ is applied when at least ``n_min`` members propose the identical
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +19,7 @@ from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, apply_edits, edits_conflict
 from .tagger import TagDistribution, Tagger, predict_stack
-
-if TYPE_CHECKING:
-    from .transforms import VerbLexicon
+from .transforms import VerbLexicon
 
 
 def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
@@ -114,7 +112,7 @@ def average_correct_batch(
     taggers: Sequence[Tagger],
     sentences: Sequence[Sequence[str]],
     hp: Hyperparams = Hyperparams(),
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> list[TokenSeq]:
     """Iterative pipeline over the member-averaged distribution each pass, per sentence."""
     if not taggers:
@@ -134,7 +132,7 @@ def average_correct(
     taggers: Sequence[Tagger],
     tokens: Sequence[str],
     hp: Hyperparams = Hyperparams(),
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> TokenSeq:
     """Iterative pipeline over the member-averaged distribution: a batch of one."""
     return average_correct_batch(taggers, [tokens], hp, lexicon)[0]

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
+from .align import encode_passes
 from .errors import ContractError
 from .spans import TokenSeq
+from .transforms import VerbLexicon
 from .vocab import TagVocab
-
-if TYPE_CHECKING:
-    from .transforms import VerbLexicon
 
 # Rows must sum to 1; producers in this package stay within PRODUCER_SUM_TOL,
 # while externally supplied matrices are accepted up to CONSTRUCT_SUM_TOL.
@@ -193,7 +192,7 @@ def train_baselines(
     pairs: Iterable[tuple[TokenSeq, TokenSeq]],
     vocab: TagVocab,
     shapes: Sequence[tuple[int, float]],
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> list[BaselineTagger]:
     """Fit one BaselineTagger per ``(context_width, smoothing)`` in ``shapes`` on the same pairs.
 
@@ -203,8 +202,6 @@ def train_baselines(
     is encoded once and each pass is added to every model's counts as it is
     produced, so several models cost one encoding and no passes are kept.
     """
-    from .align import encode_passes
-
     models = [BaselineTagger(vocab, context_width, smoothing, {}) for context_width, smoothing in shapes]
     for source, target in pairs:
         for cur, tags in encode_passes(source, target, lexicon):
@@ -222,7 +219,7 @@ def train_baseline(
     vocab: TagVocab,
     context_width: int = 1,
     smoothing: float = 1.0,
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> BaselineTagger:
     """Fit a single BaselineTagger on parallel sentence pairs (see train_baselines)."""
     return train_baselines(pairs, vocab, [(context_width, smoothing)], lexicon)[0]

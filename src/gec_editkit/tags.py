@@ -31,6 +31,10 @@ class TagKind(Enum):
     UNKNOWN = "UNKNOWN"
 
 
+# The kinds the START slot may carry (nothing precedes it).  A tuple: testing
+# membership of an enum member is faster than in a frozenset, which hashes it.
+START_KINDS = (TagKind.KEEP, TagKind.APPEND)
+
 _PAYLOAD_FREE = frozenset({TagKind.KEEP, TagKind.DELETE, TagKind.MERGE, TagKind.SPLIT_HYPHEN, TagKind.UNKNOWN})
 
 
@@ -151,8 +155,7 @@ def parse_tag(text: str) -> Tag:
 class TagSeq(tuple):
     """Tags aligned to [START] + tokens; index 0 is the sentinel START slot.
 
-    START may only carry KEEP or APPEND (nothing precedes it, so no other
-    operation is meaningful there).
+    START may only carry a tag of START_KINDS (KEEP or APPEND).
     """
 
     __slots__ = ()
@@ -164,7 +167,7 @@ class TagSeq(tuple):
         for tag in seq:
             if not isinstance(tag, Tag):
                 raise TypeError(f"expected Tag, got {tag!r}")
-        if seq[0].kind not in (TagKind.KEEP, TagKind.APPEND):
+        if seq[0].kind not in START_KINDS:
             raise ValueError(f"START position only carries KEEP or APPEND, got {format_tag(seq[0])}")
         return seq
 

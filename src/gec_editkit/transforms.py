@@ -1,10 +1,14 @@
-"""Token-general transforms: case, noun number, verb form, merge, split.
+"""Applying edit tags: apply_tags and the token-general transforms.
 
-These let frequent corrections encode as one compact tag instead of a
-token-specific replacement.  Noun number is rule-based (s/es/ies plus a
-small irregular table); coverage gaps simply fall back to REPLACE tags
-upstream, which is always correct.  Verb forms come from an explicit
-lexicon file so behavior stays reproducible.
+apply_tags applies one tag per position to a sentence, for the decoder and
+the encoder's passes alike, so this module owns what every tag does: MERGE,
+the START rule and the fallback of an inapplicable transform to KEEP.  The
+transforms (case, noun number, verb form, hyphen split) let frequent
+corrections encode as one compact tag instead of a token-specific
+replacement.  Noun number is rule-based (s/es/ies plus a small irregular
+table); coverage gaps simply fall back to REPLACE tags upstream, which is
+always correct.  Verb forms come from an explicit lexicon file so behavior
+stays reproducible.
 """
 
 from __future__ import annotations
@@ -12,14 +16,15 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .corpus import read_lines
 from .errors import ContractError, FormatError, InapplicableTransformError
-from .spans import validate_tokens
+from .spans import TokenSeq, validate_tokens
 from .tags import (
     AGREEMENT_DIRECTIONS,
     CASE_VARIANTS,
+    START_KINDS,
     Tag,
     TagKind,
     agreement_transform,
@@ -209,17 +214,11 @@ def _apply_verb(key_pair: str, token: str, lexicon: VerbLexicon | None) -> str:
     return out
 
 
-def apply_transform(
-    tag: Tag,
-    token: str,
-    next_token: str | None = None,
-    lexicon: VerbLexicon | None = None,
-) -> tuple[str, ...]:
+def apply_transform(tag: Tag, token: str, lexicon: VerbLexicon | None = None) -> tuple[str, ...]:
     """Rewrite ``token`` according to a transform tag.
 
-    MERGE consumes ``next_token`` as well; SPLIT_HYPHEN yields two or more
-    tokens.  Raises InapplicableTransformError when the transform does not
-    fit the token (callers fall back to KEEP).
+    SPLIT_HYPHEN yields two or more tokens.  Raises InapplicableTransformError
+    when the transform does not fit the token (apply_tags falls back to KEEP).
     """
     kind = tag.kind
     if kind is TagKind.TRANSFORM_CASE:
@@ -230,16 +229,56 @@ def apply_transform(
         return (singularize(token),)
     if kind is TagKind.TRANSFORM_VERB:
         return (_apply_verb(tag.payload, token, lexicon),)
-    if kind is TagKind.MERGE:
-        if next_token is None:
-            raise ContractError("MERGE needs the following token")
-        return (token + next_token,)
     if kind is TagKind.SPLIT_HYPHEN:
         pieces = token.split("-")
         if len(pieces) < 2 or not all(pieces):
             raise InapplicableTransformError(f"{token!r} does not split on hyphens")
         return tuple(pieces)
     raise ContractError(f"not a transform tag: {tag}")
+
+
+def apply_tags(tokens: Sequence[str], tags: Sequence[Tag], lexicon: VerbLexicon | None = None) -> TokenSeq:
+    """Apply one tag per position ([START] + tokens) to the sentence.
+
+    Transforms that turn out inapplicable fall back to KEEP, as does MERGE on
+    the last token; a MERGE consumes the next token, whose own tag is ignored.
+    UNKNOWN acts as KEEP.
+    """
+    toks = tuple(tokens)
+    if len(tags) != len(toks) + 1:
+        raise ContractError(f"{len(tags)} tags for {len(toks)} tokens (need tokens + 1)")
+    start = tags[0]
+    if start.kind not in START_KINDS:
+        raise ContractError(f"START position cannot carry {start.kind.value}")
+    out: list[str] = [start.payload] if start.kind is TagKind.APPEND else []
+    skip_next = False
+    for i, token in enumerate(toks):
+        if skip_next:
+            skip_next = False
+            continue
+        tag = tags[i + 1]
+        kind = tag.kind
+        if kind in (TagKind.KEEP, TagKind.UNKNOWN):
+            out.append(token)
+        elif kind is TagKind.DELETE:
+            pass
+        elif kind is TagKind.APPEND:
+            out.append(token)
+            out.append(tag.payload)
+        elif kind is TagKind.REPLACE:
+            out.append(tag.payload)
+        elif kind is TagKind.MERGE:
+            if i + 1 < len(toks):
+                out.append(token + toks[i + 1])
+                skip_next = True
+            else:
+                out.append(token)
+        else:
+            try:
+                out.extend(apply_transform(tag, token, lexicon))
+            except InapplicableTransformError:
+                out.append(token)
+    return tuple(out)
 
 
 def detect_transform(

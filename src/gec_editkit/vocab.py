@@ -6,17 +6,16 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .align import encode_passes
 from .corpus import read_lines, write_lines
 from .errors import ContractError, FormatError
-from .tags import DELETE, KEEP, UNKNOWN, Tag, TagKind, format_tag, parse_tag
-
-if TYPE_CHECKING:
-    from .spans import TokenSeq
-    from .transforms import VerbLexicon
+from .spans import TokenSeq
+from .tags import DELETE, KEEP, START_KINDS, UNKNOWN, Tag, format_tag, parse_tag
+from .transforms import VerbLexicon
 
 VOCAB_FILE_HEADER = "gec-editkit/vocab-v1"
 
@@ -49,7 +48,7 @@ class TagVocab:
         digest = hashlib.sha256("\n".join(format_tag(t) for t in self.tags).encode("utf-8"))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "sha256", digest.hexdigest())
-        start_mask = np.array([t.kind in (TagKind.KEEP, TagKind.APPEND) for t in self.tags])
+        start_mask = np.array([t.kind in START_KINDS for t in self.tags])
         start_mask.flags.writeable = False
         object.__setattr__(self, "_start_mask", start_mask)
 
@@ -72,21 +71,19 @@ class TagVocab:
         return self.index.get(tag, self.index[UNKNOWN])
 
     def start_position_mask(self) -> np.ndarray:
-        """Read-only bool array, True for indices selectable at START (KEEP/APPEND)."""
+        """Read-only bool array, True for indices selectable at START (START_KINDS)."""
         return self._start_mask
 
 
 def count_edit_tags(
-    pairs: Iterable[tuple["TokenSeq", "TokenSeq"]],
-    lexicon: "VerbLexicon | None" = None,
+    pairs: Iterable[tuple[TokenSeq, TokenSeq]],
+    lexicon: VerbLexicon | None = None,
 ) -> Counter[Tag]:
     """Tag frequencies over all encoding passes run to convergence per pair.
 
     Multi-pass counting makes appends that hide behind other edits (deep
     insertions) show up in the counts.
     """
-    from .align import encode_passes
-
     counts: Counter[Tag] = Counter()
     for source, target in pairs:
         for _, tags in encode_passes(source, target, lexicon):
@@ -95,9 +92,9 @@ def count_edit_tags(
 
 
 def build_vocab(
-    pairs: Sequence[tuple["TokenSeq", "TokenSeq"]],
+    pairs: Sequence[tuple[TokenSeq, TokenSeq]],
     size_cap: int,
-    lexicon: "VerbLexicon | None" = None,
+    lexicon: VerbLexicon | None = None,
 ) -> TagVocab:
     """Vocabulary of the most frequent edit tags, capped at ``size_cap``.
 

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from gec_editkit import EditSpan, TagDistribution, TagVocab
+from gec_editkit import EditSpan, InapplicableTransformError, TagDistribution, TagVocab, VerbLexicon
 from gec_editkit.tags import (
     MERGE,
     SPLIT_HYPHEN,
@@ -18,6 +18,7 @@ from gec_editkit.tags import (
     replace,
     verb_transform,
 )
+from gec_editkit.transforms import pluralize, singularize
 from gec_editkit.vocab import MANDATORY_TAGS
 
 WORDS = (
@@ -53,6 +54,64 @@ def random_pair(rng: random.Random, max_len: int = 30) -> tuple[tuple[str, ...],
     source = random_tokens(rng, max_len=max_len)
     density = rng.random() * 0.5
     return source, mutate(rng, source, density)
+
+
+NOUNS = ("dog", "box", "city", "child", "person", "knife", "glass", "wish", "tooth", "day")
+HYPHENATED = ("well-known", "state-of-the-art", "e-mail", "self-aware", "up-to-date")
+
+
+def transform_groups(lexicon: VerbLexicon) -> tuple[tuple[str, ...], ...]:
+    """Transform-prone word groups: nouns in both numbers, every verb form of ``lexicon``, hyphenated tokens."""
+    verbs = sorted(set(lexicon.forms.values()) | {base for base, _ in lexicon.forms})
+    return NOUNS + tuple(pluralize(noun) for noun in NOUNS), tuple(verbs), HYPHENATED, WORDS
+
+
+def _transform_word(rng: random.Random, groups: tuple[tuple[str, ...], ...]) -> str:
+    word = rng.choice(rng.choice(groups))
+    return word.capitalize() if rng.random() < 0.2 else word
+
+
+def _transformed(rng: random.Random, token: str, lexicon: VerbLexicon) -> list[str]:
+    """``token`` under one random case, number, verb-form or hyphen-split change (unchanged if none fits)."""
+    roll = rng.randrange(4)
+    if roll == 0:
+        return [rng.choice((token.upper(), token.lower(), token[:1].upper() + token[1:]))]
+    if roll == 1:
+        try:
+            return [rng.choice((pluralize, singularize))(token)]
+        except InapplicableTransformError:
+            return [token]
+    if roll == 2:
+        slots = lexicon.paradigm_slots(token)
+        if slots:
+            base, _ = rng.choice(slots)
+            return [lexicon.inflect(base, rng.choice(lexicon.form_keys(base)))]
+        return [token]
+    pieces = token.split("-")
+    return pieces if len(pieces) > 1 and all(pieces) else [token]
+
+
+def transform_pair(
+    rng: random.Random, groups: tuple[tuple[str, ...], ...], lexicon: VerbLexicon, max_len: int = 8
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A pair over ``groups`` (see transform_groups) whose edits lean on transforms and merges, mixed with plain edits."""
+    source = tuple(_transform_word(rng, groups) for _ in range(rng.randint(0, max_len)))
+    target: list[str] = []
+    for tok in source:
+        roll = rng.random()
+        if roll < 0.5:
+            target.extend(_transformed(rng, tok, lexicon))
+        elif roll < 0.6 and target:
+            target[-1] += tok  # merge with the previous token
+        elif roll < 0.7:
+            pass  # delete
+        elif roll < 0.8:
+            target.append(_transform_word(rng, groups))  # substitute
+        else:
+            target.append(tok)
+        if rng.random() < 0.1:
+            target.append(_transform_word(rng, groups))  # insert after
+    return source, tuple(target)
 
 
 def random_tag(rng: random.Random) -> Tag:

@@ -15,7 +15,7 @@ from gec_editkit.align import _intern, encode_passes
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
 
-from gen import random_pair, random_tokens
+from gen import random_pair, random_tokens, transform_groups, transform_pair
 
 
 def brute_force_min_cost(source, target):
@@ -183,13 +183,20 @@ def iterate_to_target(source, target, lexicon=None):
     return passes
 
 
-def test_convergence_property():
+def test_convergence_property(lexicon):
     rng = random.Random(59)
     for _ in range(400):
         src, tgt = random_pair(rng, max_len=15)
         iterate_to_target(src, tgt)
         # the all-KEEP fixed point happens exactly at equality
         assert encode_tags(tgt, tgt).all_keep
+    # transform-prone pairs (case, number, verb form, hyphen splits, merges)
+    # encoded with the bundled lexicon converge within the same bound
+    groups = transform_groups(lexicon)
+    for _ in range(400):
+        src, tgt = transform_pair(rng, groups, lexicon)
+        iterate_to_target(src, tgt, lexicon)
+        assert encode_tags(tgt, tgt, lexicon).all_keep
 
 
 def test_convergence_from_empty():

@@ -115,6 +115,14 @@ def test_vocab_mismatch_is_contract_error(vocab):
         select_tags(d, vocab)
 
 
+def test_select_tags_refuses_stacked_sentences(vocab):
+    rng = random.Random(11)
+    stacked = TagDistribution.stack([random_distribution(rng, vocab, 1), random_distribution(rng, vocab, 2)])
+    assert stacked.rows.shape[0] == 5
+    with pytest.raises(ContractError, match="select_batch"):
+        select_tags(stacked, vocab)
+
+
 def test_apply_tags_examples():
     assert apply_tags(("a", "b"), [KEEP, KEEP, KEEP]) == ("a", "b")
     assert apply_tags(("He", "go"), [KEEP, KEEP, replace("goes")]) == ("He", "goes")

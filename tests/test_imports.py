@@ -1,0 +1,79 @@
+"""The package's import graph: no cycle, no lazy or type-checking-only imports."""
+
+import ast
+from pathlib import Path
+
+from gec_editkit import decode, transforms
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gec_editkit"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _relative_imports(name, tree):
+    """Package modules ``name`` imports relatively, wherever the statement sits."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module is not None:
+            found.add(node.module.split(".")[0])
+        else:  # from . import a, b
+            found.update(alias.name for alias in node.names)
+    found.discard(name)
+    return found
+
+
+def _find_cycle(graph):
+    """One import cycle as [a, b, ..., a], or None."""
+    state = {}  # module -> "open" while on the DFS path, "done" after
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt, path + [nxt])
+                if cycle is not None:
+                    return cycle
+        state[node] = "done"
+        return None
+
+    for start in sorted(graph):
+        if start not in state:
+            cycle = visit(start, [start])
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def test_import_graph_has_no_cycle():
+    trees = _trees()
+    graph = {name: _relative_imports(name, tree) & trees.keys() for name, tree in trees.items()}
+    cycle = _find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+    # the encoder applies tags through transforms, not through the decoder
+    assert "transforms" in graph["align"] and "decode" not in graph["align"]
+
+
+def test_no_module_imports_type_checking():
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "typing":
+                assert "TYPE_CHECKING" not in {alias.name for alias in node.names}, name
+
+
+def test_no_import_inside_a_function():
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), f"{name}.{func.name} imports lazily"
+
+
+def test_decode_reexports_apply_tags():
+    # one function, reachable under both names (tracing wraps decode.apply_tags)
+    assert decode.apply_tags is transforms.apply_tags
