@@ -12,13 +12,18 @@ Rows include the START position first, so there are len(tokens) + 1 of them.
 A record is valid when ``tokens`` is a list of non-empty, whitespace-free
 strings, ``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size``
 numbers, and ``error_probs`` holds one number per row.  Every number must be a
-JSON number or boolean (no strings, no null), finite and within [0, 1], and
-each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds
-each record's arrays once, checks the shape of ``rows`` and leaves the rest
-(the ``error_probs`` length and every numeric check) to TagDistribution, so
-they run vectorised and only once.
-JSON float serialization uses repr, which round-trips doubles exactly, so a
-write/read cycle is lossless.
+JSON number or boolean (no strings, no null) within [0, 1], and each row must
+sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's
+arrays once, checks the shape of ``rows`` and leaves the rest (the
+``error_probs`` length and every numeric check) to TagDistribution, so they
+run vectorised and only once.
+
+The reader parses each line with orjson, which is strict JSON: ``NaN`` and
+``Infinity`` literals, lone surrogates such as ``"\\ud800"`` and numbers
+outside double range are not JSON and fail as ``invalid JSON``.  Integers
+beyond 64 bits read as floats and so fail the [0, 1] check.  The writer uses
+json.dumps, whose repr float serialization round-trips doubles exactly, and
+orjson reads them back bit-identically, so a write/read cycle is lossless.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+import orjson
 
 from .corpus import read_lines, write_lines
 from .errors import EditKitError, FormatError
@@ -82,7 +88,7 @@ def _parse_header(line: str, vocab: TagVocab | None) -> tuple[str, int]:
         raise FormatError(f"expected format {MATRIX_FORMAT!r}, got {header.get('format')!r}")
     vocab_id = header.get("vocab_sha256")
     vocab_size = header.get("vocab_size")
-    if not isinstance(vocab_id, str) or not isinstance(vocab_size, int) or vocab_size < 1:
+    if not isinstance(vocab_id, str) or type(vocab_size) is not int or vocab_size < 1:
         raise FormatError("header needs a vocab_sha256 string and positive vocab_size")
     if vocab is not None:
         if vocab.sha256 != vocab_id:
@@ -94,8 +100,8 @@ def _parse_header(line: str, vocab: TagVocab | None) -> tuple[str, int]:
 
 def _parse_json(line: str) -> dict:
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object")
@@ -125,8 +131,8 @@ def _number_array(values: object, what: str) -> np.ndarray:
 
     No dtype is passed to np.array: with dtype=float64 numpy would parse a
     numeric string such as "0.5" instead of refusing it.  Strings come back
-    with kind "U", null, objects and out-of-range integers with kind "O", and
-    nested lists of uneven length or depth raise ValueError.
+    with kind "U", null and objects with kind "O", and nested lists of uneven
+    length or depth raise ValueError.
     """
     try:
         arr = np.array(values)

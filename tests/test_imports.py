@@ -1,11 +1,15 @@
-"""The package's import graph: no cycle, no lazy or type-checking-only imports."""
+"""The package's import graph: no cycle, no lazy or type-checking-only imports,
+and no third-party import that pyproject.toml does not declare."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 from gec_editkit import decode, transforms
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gec_editkit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gec_editkit"
 
 
 def _trees():
@@ -77,3 +81,25 @@ def test_no_import_inside_a_function():
 def test_decode_reexports_apply_tags():
     # one function, reachable under both names (tracing wraps decode.apply_tags)
     assert decode.apply_tags is transforms.apply_tags
+
+
+def _declared_dependencies():
+    """Import names of the ``[project] dependencies`` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r"^dependencies = (\[.*?\])$", text, re.MULTILINE | re.DOTALL)
+    assert match, "pyproject.toml has no [project] dependencies list"
+    return {re.split(r"[<>=!~\[; ]", spec, maxsplit=1)[0].replace("-", "_").lower()
+            for spec in ast.literal_eval(match.group(1))}
+
+
+def test_every_third_party_import_is_declared():
+    allowed = set(sys.stdlib_module_names) | {"gec_editkit"} | _declared_dependencies()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert roots <= allowed, f"{name} imports {sorted(roots - allowed)}, not a declared dependency"

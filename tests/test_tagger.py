@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gec_editkit import (
@@ -224,6 +224,15 @@ def test_matrix_errors_carry_line_numbers(tmp_path, small_vocab):
     cases.append((header + "\n" + record([uniform, row(-0.1, 0.6, 0.5)], [0.0, 0.0]), 2, ""))
     cases.append((header + "\n" + record([[[x] for x in uniform]] * 2, [0.0, 0.0]), 2, ""))
     cases.append((header + "\n" + record([uniform, uniform], [[0.0], [0.0]]), 2, ""))
+    # Not JSON, though Python's json module reads them: non-finite literals,
+    # a number outside double range and a lone surrogate.
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        cases.append((header + "\n" + record([uniform, row("X", 0.5)], [0.0, 0.0]).replace('"X"', literal), 2, "JSON"))
+        cases.append((header + "\n" + record([uniform, uniform], [0.0, "X"]).replace('"X"', literal), 2, "JSON"))
+    cases.append((header + "\n" + record([uniform, uniform], [0.0, 0.0], tokens='["\\ud800"]'), 2, "JSON"))
+    # An integer beyond 64 bits reads as a float and fails the range check.
+    cases.append((header + "\n" + record([uniform, row("X", 0.5)], [0.0, 0.0]).replace('"X"', "1" * 24), 2, "[0, 1]"))
+    cases.append((header + "\n" + record([uniform, uniform], [0.0, "X"]).replace('"X"', "1" * 24), 2, "[0, 1]"))
     for text, lineno, needle in cases:
         path = tmp_path / "bad.jsonl"
         path.write_text(text, encoding="utf-8")
@@ -305,6 +314,37 @@ def test_matrix_round_trip_property(tmp_path_factory, case):
         assert d_b.rows.dtype == np.float64 and d_b.error_probs.dtype == np.float64
         assert np.array_equal(d_a.rows, d_b.rows)
         assert np.array_equal(d_a.error_probs, d_b.error_probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True) | st.just(-0.0), min_size=1, max_size=8))
+@example([5e-324, 1e-310, 2.2250738585072014e-308, 0.9999999999999999, -0.0, 1.0])
+def test_matrix_numbers_read_bit_identically_to_json(tmp_path_factory, values):
+    # Every finite double in [0, 1], subnormals included, comes back with the
+    # bits Python's json module gives the same text.
+    vocab = TagVocab(MANDATORY_TAGS)
+    width = len(vocab)
+    rows = [[x, 1.0 - x] + [0.0] * (width - 2) for x in [0.0] + values]
+    header = {"format": "gec-editkit/matrix-v1", "vocab_sha256": vocab.sha256, "vocab_size": width}
+    record = json.dumps({"tokens": ["a"] * len(values), "rows": rows, "error_probs": [0.0] + values})
+    path = tmp_path_factory.mktemp("matrix") / "m.jsonl"
+    path.write_text(json.dumps(header) + "\n" + record + "\n", encoding="utf-8")
+    ((_, dist),) = read_matrix_file(path, vocab)
+    expected = json.loads(record)
+    assert np.array_equal(dist.rows.view(np.uint64), np.array(expected["rows"]).view(np.uint64))
+    assert np.array_equal(dist.error_probs.view(np.uint64), np.array(expected["error_probs"]).view(np.uint64))
+
+
+def test_matrix_header_refuses_a_boolean_vocab_size(tmp_path, small_vocab):
+    # True is an int to Python; taken as vocab_size it would ask for 1-wide rows.
+    header = {"format": "gec-editkit/matrix-v1", "vocab_sha256": small_vocab.sha256, "vocab_size": True}
+    record = {"tokens": [], "rows": [[1.0]], "error_probs": [0.0]}
+    path = tmp_path / "bool.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    for vocab in (None, small_vocab):
+        with pytest.raises(FormatError, match="positive vocab_size") as exc:
+            read_matrix_file(path, vocab)
+        assert exc.value.line == 1
 
 
 def test_matrix_vocab_mismatch(tmp_path, small_vocab):
