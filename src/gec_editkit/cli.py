@@ -62,10 +62,14 @@ def _parse_spec(spec: str) -> tuple[str, tuple[int, float] | None]:
         raise ContractError(f"unknown tagger kind {kind!r} in {spec!r}")
     parts = rest.split(",")
     context_width, smoothing = 1, 1.0
+    seen: set[str] = set()
     for opt in parts[1:]:
         key, _, value = opt.partition("=")
         if key not in ("cw", "sm"):
             raise ContractError(f"unknown baseline option {key!r} in {spec!r}")
+        if key in seen:
+            raise ContractError(f"baseline option {key!r} given twice in {spec!r}")
+        seen.add(key)
         try:
             if key == "cw":
                 context_width = int(value)

@@ -81,12 +81,14 @@ class _Lines:
     """The lines of an open text file without "\n", numbering the current one.
 
     ``lineno`` is the number, from 1, of the line last returned; it is None
-    before the first line and once the last has been read.
+    before the first line and once the last has been read, but 1 once a file
+    with no lines has been found empty (so a missing header sits at line 1).
     """
 
     def __init__(self, fh: Iterable[str]):
         self._numbered = enumerate(fh, start=1)
         self.lineno: int | None = None
+        self._ended = False
 
     def __iter__(self) -> "_Lines":
         return self
@@ -94,7 +96,9 @@ class _Lines:
     def __next__(self) -> str:
         for self.lineno, line in self._numbered:
             return line.rstrip("\n")
-        self.lineno = None
+        if not self._ended:
+            self._ended = True
+            self.lineno = None if self.lineno else 1
         raise StopIteration
 
 
@@ -103,10 +107,10 @@ def read_lines(path: str | Path) -> Iterator[_Lines]:
     """The lines of a UTF-8 text file, for a ``with`` block that parses them.
 
     Lines end as in text mode.  An EditKitError raised in the block comes out
-    as FormatError at ``path:line`` of the current line, or at ``path`` alone
-    once the last line has been read; a FormatError that already names a file
-    comes out unchanged.  A byte that is not UTF-8 raises FormatError naming
-    the line that holds it.
+    as FormatError at ``path:line`` of the current line, at ``path:1`` once a
+    file with no lines has been found empty, or at ``path`` alone once the
+    last line of any other file has been read.  A byte that is not UTF-8
+    raises FormatError naming the line that holds it.
     """
     with open(path, encoding="utf-8") as fh:
         lines = _Lines(fh)
@@ -116,8 +120,6 @@ def read_lines(path: str | Path) -> Iterator[_Lines]:
             message = f"not UTF-8: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
             raise FormatError(message, path=str(path), line=_undecodable_line(path)) from None
         except EditKitError as exc:
-            if isinstance(exc, FormatError) and exc.path is not None:
-                raise
             raise FormatError(str(exc), path=str(path), line=lines.lineno) from None
 
 

@@ -9,14 +9,14 @@ Every following line is one sentence record::
     {"tokens": [...], "rows": [[...], ...], "error_probs": [...]}
 
 Rows include the START position first, so there are len(tokens) + 1 of them.
-A record is valid when ``tokens`` is a list of non-empty, whitespace-free
-strings, ``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size``
-numbers, and ``error_probs`` holds one number per row.  Every number must be a
-JSON number or boolean (no strings, no null) within [0, 1], and each row must
-sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's
-arrays once, checks the shape of ``rows`` and leaves the rest (the
-``error_probs`` length and every numeric check) to TagDistribution, so they
-run vectorised and only once.
+A record is valid when ``tokens`` is a list of tokens (``spans.is_token``),
+``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size`` numbers, and
+``error_probs`` holds one number per row.  Every number must be a JSON number
+or boolean (no strings, no null) within [0, 1], and each row must sum to 1
+within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's arrays
+once, checks the shape of ``rows`` and leaves the rest (the ``error_probs``
+length and every numeric check) to TagDistribution, so they run vectorised
+and only once.
 
 The reader parses each line with orjson, which is strict JSON: ``NaN`` and
 ``Infinity`` literals, lone surrogates such as ``"\\ud800"`` and numbers
@@ -77,7 +77,7 @@ def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[Ma
     with read_lines(path) as lines:
         first = next(lines, None)
         if first is None:
-            raise FormatError("empty matrix file: missing header", path=str(path), line=1)
+            raise FormatError("empty matrix file: missing header")
         vocab_id, vocab_size = _parse_header(first, vocab)
         return [_parse_record(line, vocab_id, vocab_size) for line in lines if line.strip()]
 

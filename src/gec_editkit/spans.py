@@ -10,20 +10,23 @@ from .errors import ContractError, EditOverlapError, SpanRangeError
 TokenSeq = tuple[str, ...]
 
 
+def is_token(text: object) -> bool:
+    """Whether ``text`` is a token: a non-empty str with no character for which str.isspace() holds."""
+    return isinstance(text, str) and text.split() == [text]  # str.split() splits at exactly those characters
+
+
 def validate_tokens(tokens: Iterable[str]) -> TokenSeq:
     """Check and freeze a token sequence.
 
-    Tokens must be non-empty and contain no whitespace; the sequence itself
-    may be empty.  Tokenization is the caller's concern.
+    Every element must be a token (``is_token``); the sequence itself may be
+    empty.  Tokenization is the caller's concern.
     """
     out = tuple(tokens)
     for tok in out:
-        if not isinstance(tok, str):
-            raise ContractError(f"token must be str, got {tok!r}")
-        if not tok:
-            raise ContractError("empty token")
-        if any(ch.isspace() for ch in tok):
-            raise ContractError(f"token contains whitespace: {tok!r}")
+        if not is_token(tok):
+            if not isinstance(tok, str):
+                raise ContractError(f"token must be str, got {tok!r}")
+            raise ContractError(f"token contains whitespace: {tok!r}" if tok else "empty token")
     return out
 
 

@@ -160,8 +160,8 @@ class BaselineTagger:
         """Refuse a window width or smoothing no BaselineTagger can have."""
         if context_width < 0:
             raise ContractError("context_width must be >= 0")
-        if not smoothing > 0.0:
-            raise ContractError("smoothing must be positive so unseen contexts stay normalized")
+        if not (smoothing > 0.0 and math.isfinite(smoothing)):
+            raise ContractError("smoothing must be positive and finite so unseen contexts stay normalized")
 
     def predict(self, tokens: Sequence[str]) -> TagDistribution:
         return self.predict_batch([tokens])

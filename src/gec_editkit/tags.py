@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TagParseError
+from .spans import is_token
 
 CASE_VARIANTS = ("CAPITAL", "LOWER", "UPPER")
 AGREEMENT_DIRECTIONS = ("SINGULAR", "PLURAL")
@@ -38,8 +39,9 @@ START_KINDS = (TagKind.KEEP, TagKind.APPEND)
 _PAYLOAD_FREE = frozenset({TagKind.KEEP, TagKind.DELETE, TagKind.MERGE, TagKind.SPLIT_HYPHEN, TagKind.UNKNOWN})
 
 
-def _valid_token(text: str) -> bool:
-    return bool(text) and not any(ch.isspace() for ch in text)
+def is_form_key(text: object) -> bool:
+    """Whether ``text`` is a verb form key such as VBZ: a token without "_"."""
+    return is_token(text) and "_" not in text
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +61,7 @@ class Tag:
             if payload is not None:
                 raise ValueError(f"{kind.value} tag takes no payload, got {payload!r}")
         elif kind in (TagKind.APPEND, TagKind.REPLACE):
-            if payload is None or not _valid_token(payload):
+            if not is_token(payload):
                 raise ValueError(f"{kind.value} payload must be a non-empty whitespace-free token, got {payload!r}")
         elif kind is TagKind.TRANSFORM_CASE:
             if payload not in CASE_VARIANTS:
@@ -67,22 +69,16 @@ class Tag:
         elif kind is TagKind.TRANSFORM_AGREEMENT:
             if payload not in AGREEMENT_DIRECTIONS:
                 raise ValueError(f"agreement direction must be one of {AGREEMENT_DIRECTIONS}, got {payload!r}")
-        elif kind is TagKind.TRANSFORM_VERB:
-            if payload is None or not _valid_form_pair(payload):
-                raise ValueError(
-                    f"verb payload must be a FROM_TO form-pair key of two non-empty parts, got {payload!r}"
-                )
+        elif kind is TagKind.TRANSFORM_VERB:  # two form keys joined by "_", such as VB_VBZ
+            keys = payload.split("_") if isinstance(payload, str) else ()
+            if len(keys) != 2 or not all(map(is_form_key, keys)):
+                raise ValueError(f"verb payload must be a FROM_TO form-pair key of two non-empty parts, got {payload!r}")
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unhandled tag kind {kind!r}")
 
     @property
     def is_keep(self) -> bool:
         return self.kind is TagKind.KEEP
-
-
-def _valid_form_pair(key: str) -> bool:
-    parts = key.split("_")
-    return len(parts) == 2 and all(p and not any(ch.isspace() for ch in p) for p in parts)
 
 
 KEEP = Tag(TagKind.KEEP)
@@ -120,15 +116,8 @@ def format_tag(tag: Tag) -> str:
 
 
 _BARE = {f"${k.value}": Tag(k) for k in _PAYLOAD_FREE}
-# Families taking a payload, longest prefix first so TRANSFORM_CASE_ wins
-# over a hypothetical shorter match.
-_PREFIXED = [
-    ("$TRANSFORM_AGREEMENT_", TagKind.TRANSFORM_AGREEMENT),
-    ("$TRANSFORM_CASE_", TagKind.TRANSFORM_CASE),
-    ("$TRANSFORM_VERB_", TagKind.TRANSFORM_VERB),
-    ("$REPLACE_", TagKind.REPLACE),
-    ("$APPEND_", TagKind.APPEND),
-]
+# No "$KIND_" prefix starts another, so at most one of these matches.
+_PREFIXED = [(f"${k.value}_", k) for k in TagKind if k not in _PAYLOAD_FREE]
 
 
 def parse_tag(text: str) -> Tag:

@@ -29,6 +29,7 @@ from .tags import (
     TagKind,
     agreement_transform,
     case_transform,
+    is_form_key,
     verb_transform,
 )
 
@@ -196,7 +197,7 @@ def _lexicon_entry(line: str) -> tuple[str, str, str]:
     if len(parts) != 3 or not all(parts):
         raise FormatError("expected base<TAB>form_key<TAB>inflected")
     base, key, form = parts
-    if "_" in key or any(ch.isspace() for ch in key):
+    if not is_form_key(key):
         raise FormatError(f"bad form key {key!r}")
     return base, key, form
 

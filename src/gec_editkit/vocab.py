@@ -122,6 +122,5 @@ def write_vocab_file(path: str | Path, vocab: TagVocab) -> None:
 def read_vocab_file(path: str | Path) -> TagVocab:
     with read_lines(path) as lines:
         if next(lines, None) != VOCAB_FILE_HEADER:
-            # An empty file has no current line, so the position is given here.
-            raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}", path=str(path), line=1)
+            raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}")
         return TagVocab(tuple(parse_tag(line) for line in lines))

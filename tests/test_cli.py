@@ -525,6 +525,45 @@ def test_a_bad_member_spec_fails_before_any_member_is_trained(workspace, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sm", ["inf", "nan"])
+def test_a_non_finite_smoothing_is_refused_before_training(workspace, sm):
+    # Run as a process so stderr holds everything the command prints,
+    # warnings included: an inf smoothing once trained and then failed in
+    # predict with a numpy RuntimeWarning.
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = tmp_path / "o.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "gec_editkit.cli", "correct", "--input", str(eval_txt), "--output", str(out),
+         "--vocab", str(vocab_path), "--tagger", f"baseline={train_tsv},sm={sm}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: smoothing must be positive and finite so unseen contexts stay normalized\n"
+    assert done.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["baseline={},cw=0,cw=1", "baseline={},sm=0.5,cw=1,sm=0.5"])
+def test_a_repeated_spec_option_is_refused(workspace, capsys, monkeypatch, spec):
+    import gec_editkit.cli as cli
+
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a member was trained")
+
+    monkeypatch.setattr(cli, "train_baselines", no_training)
+    spec = spec.format(train_tsv)
+    out = tmp_path / "o.txt"
+    rc = main(["correct", "--input", str(eval_txt), "--output", str(out), "--vocab", str(vocab_path), "--tagger", spec])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "given twice" in err and repr(spec) in err
+    assert not out.exists()
+
+
 def test_matrix_file_tagger_through_cli(workspace):
     # Simulate an external model: dump a tagger's rows for the input
     # sentences (plus their one-pass corrections, so a second pass can fire)

@@ -14,14 +14,17 @@ from gec_editkit import (
     build_vocab,
     filter_edit_free,
     read_m2,
+    read_matrix_file,
     read_sentences,
     read_tsv_corpus,
+    read_vocab_file,
     write_m2,
     write_matrix_file,
     write_sentences,
     write_tsv_corpus,
     write_vocab_file,
 )
+from gec_editkit.corpus import read_lines
 from gec_editkit.tags import KEEP
 
 from gen import random_distribution, random_pair, random_tokens
@@ -227,6 +230,26 @@ def test_non_utf8_line_numbers_follow_text_mode_line_ends(tmp_path):
     with pytest.raises(FormatError, match="byte 0xe2") as exc:
         read_sentences(path)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("read", [read_vocab_file, read_matrix_file], ids=["vocab", "matrix"])
+def test_an_empty_file_fails_at_its_first_line(tmp_path, read):
+    path = tmp_path / "empty"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(FormatError, match="missing") as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}:1: ")
+
+
+def test_past_the_end_only_an_empty_file_has_a_line(tmp_path):
+    path = tmp_path / "f"
+    for text, where in [("", f"{path}:1"), ("a\n", str(path))]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as exc, read_lines(path) as lines:
+            list(lines)
+            assert next(lines, None) is None  # reading on past the end keeps the position
+            raise FormatError("no records")
+        assert str(exc.value) == f"{where}: no records"
 
 
 _VOCAB = build_vocab([(("He", "go"), ("He", "goes"))], 100)

@@ -1,5 +1,6 @@
 """The package's import graph: no cycle, no lazy or type-checking-only imports,
-and no third-party import that pyproject.toml does not declare."""
+and no third-party import that pyproject.toml does not declare; and the token
+rule's one owner."""
 
 import ast
 import re
@@ -103,3 +104,31 @@ def test_every_third_party_import_is_declared():
             else:
                 continue
             assert roots <= allowed, f"{name} imports {sorted(roots - allowed)}, not a declared dependency"
+
+
+def _whitespace_checks(tree):
+    """Lines of ``tree`` that test for whitespace: ``.isspace``, ``string.whitespace``,
+    or a comparison with an argument-free ``.split()``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("isspace", "whitespace"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "string":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Call) and isinstance(side.func, ast.Attribute)
+                        and side.func.attr == "split" and not side.args and not side.keywords):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_only_spans_checks_for_whitespace():
+    # The token rule ("non-empty, no whitespace") is stated once, in
+    # spans.is_token; every other module asks it.
+    trees = _trees()
+    assert _whitespace_checks(trees["spans"]), "the owner's own check is not recognised"
+    for name, tree in trees.items():
+        if name != "spans":
+            assert not _whitespace_checks(tree), f"{name} checks for whitespace itself at lines {_whitespace_checks(tree)}"
+

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gec_editkit import ContractError, EditOverlapError, EditSpan, SpanRangeError, apply_edits
-from gec_editkit.spans import edits_conflict
+from gec_editkit.spans import edits_conflict, is_token
 
 from gen import random_edit_list, random_tokens
 
@@ -110,3 +111,18 @@ def test_edit_span_invariants():
         EditSpan(1, 1, ())  # empty insertion
     with pytest.raises(ContractError):
         EditSpan(0, 1, ("two words",))
+
+
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@given(st.text() | st.sampled_from(_SPACES) | st.tuples(st.text(), st.sampled_from(_SPACES), st.text()).map("".join))
+def test_is_token_is_nonempty_and_free_of_isspace_characters(text):
+    assert is_token(text) == (bool(text) and not any(ch.isspace() for ch in text))
+
+
+def test_no_isspace_character_is_or_joins_a_token():
+    for space in _SPACES:
+        assert not any(map(is_token, (space, "a" + space + "b", space + "a", "a" + space))), hex(ord(space))
+    assert is_token("a") and not is_token("") and not is_token(None) and not is_token(b"a")
+

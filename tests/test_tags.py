@@ -41,6 +41,8 @@ def test_format_basic_tags():
         "$TRANSFORM_VERB_VBZ",
         "$TRANSFORM_VERB_A_B_C",
         "$SOMETHING_ELSE",
+        "$TRANSFORM_CASE_",
+        "$TRANSFORM_VERB_VB_",
     ],
 )
 def test_parse_rejects_malformed(bad):
@@ -60,6 +62,13 @@ def test_parse_format_round_trip_over_generated_tags():
 def test_payload_with_underscore_round_trips():
     tag = append("co_op")
     assert parse_tag(format_tag(tag)) == tag
+
+
+def test_a_payload_may_spell_another_kind_prefix():
+    # "$APPEND_" is the only prefix "$APPEND_TRANSFORM_CASE_X" starts with
+    tag = parse_tag("$APPEND_TRANSFORM_CASE_X")
+    assert tag == append("TRANSFORM_CASE_X")
+    assert format_tag(tag) == "$APPEND_TRANSFORM_CASE_X"
 
 
 def test_payload_validation():
