@@ -77,12 +77,7 @@ def select_batch(batch: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: 
     position only ever selects KEEP or APPEND.  Each sentence gets the tags it
     would get alone.
     """
-    if batch.vocab_id != vocab.sha256:
-        raise ContractError(
-            f"distribution was made for vocab {batch.vocab_id[:12]}..., decoder has {vocab.sha256[:12]}..."
-        )
-    if batch.rows.shape[1] != len(vocab):
-        raise ContractError(f"rows have width {batch.rows.shape[1]}, vocab size is {len(vocab)}")
+    batch.check_fits(vocab)
     keep_idx = vocab.keep_index
     rows, starts = batch.rows, batch.starts
     scores = rows.copy()
@@ -122,7 +117,7 @@ def decode_iteratively(
     for active in _chunks(cur, max(1, BATCH_ELEMENTS // len(vocab))):
         for _ in range(hp.max_iters):
             batch = predict_batch([cur[i] for i in active])
-            _check_layout(batch, [len(cur[i]) for i in active])
+            batch.check_fits(vocab, [len(cur[i]) for i in active], "predicted batch")
             still = []
             for i, tags in zip(active, select_batch(batch, vocab, hp.ac, hp.mep)):
                 history[i].append(tags)
@@ -133,14 +128,6 @@ def decode_iteratively(
                 break
             active = still
     return [CorrectionResult(out, len(tags), tuple(tags)) for out, tags in zip(cur, history)]
-
-
-def _check_layout(batch: TagDistribution, n_tokens: list[int]) -> None:
-    starts = [0]
-    for n in n_tokens:
-        starts.append(starts[-1] + n + 1)
-    if batch.rows.shape[0] != starts.pop() or batch.starts.tolist() != starts:
-        raise ContractError(f"predicted rows do not split into sentences of {n_tokens} tokens (need tokens + 1 each)")
 
 
 def _chunks(sentences: list[TokenSeq], max_rows: int) -> Iterator[list[int]]:

@@ -16,7 +16,9 @@ or boolean (no strings, no null) within [0, 1], and each row must sum to 1
 within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's arrays
 once, checks the shape of ``rows`` and leaves the rest (the ``error_probs``
 length and every numeric check) to TagDistribution, so they run vectorised
-and only once.
+and only once.  The writer leaves its in-memory records to
+TagDistribution.check_fits, the one check of vocab, width and layout that
+the decoder and MatrixTagger use too, so a bad record raises ContractError.
 
 The reader parses each line with orjson, which is strict JSON: ``NaN`` and
 ``Infinity`` literals, lone surrogates such as ``"\\ud800"`` and numbers
@@ -54,18 +56,8 @@ def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[Matri
 
 
 def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution) -> str:
-    if dist.vocab_id != vocab.sha256:
-        raise FormatError(f"record for {' '.join(tokens)!r} belongs to a different vocab ({dist.vocab_id[:12]}...)")
-    if len(dist.starts) != 1:
-        raise FormatError(f"record for {' '.join(tokens)!r} stacks {len(dist.starts)} sentences, not one")
-    if dist.positions != len(tokens) + 1:
-        raise FormatError(f"record for {' '.join(tokens)!r} has {dist.positions} rows for {len(tokens)} tokens")
-    record = {
-        "tokens": list(tokens),
-        "rows": [list(map(float, row)) for row in dist.rows],
-        "error_probs": [float(x) for x in dist.error_probs],
-    }
-    return json.dumps(record)
+    dist.check_fits(vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
+    return json.dumps({"tokens": list(tokens), "rows": dist.rows.tolist(), "error_probs": dist.error_probs.tolist()})
 
 
 def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[MatrixRecord]:

@@ -30,6 +30,11 @@ START_MARKER = "[START]"
 PAD_MARKER = "[PAD]"
 
 
+def sentence_bounds(lengths: Iterable[int]) -> list[int]:
+    """Where each stacked sentence's rows start, then the row count: n tokens take n + 1 rows."""
+    return list(accumulate((n + 1 for n in lengths), initial=0))
+
+
 @dataclass(frozen=True, eq=False)
 class TagDistribution:
     """Per-position probability rows over a tag vocab, plus error detection.
@@ -86,6 +91,26 @@ class TagDistribution:
     def positions(self) -> int:
         return self.rows.shape[0]
 
+    def check_fits(self, vocab: TagVocab, lengths: Sequence[int] | None = None, what: str = "distribution") -> None:
+        """Refuse rows that are not ``vocab``'s predictions for sentences of ``lengths`` tokens.
+
+        That is ``vocab``'s hash, ``len(vocab)`` columns and, given ``lengths``,
+        their sentences laid out by sentence_bounds; ``what`` names the rows.
+        """
+        if self.vocab_id != vocab.sha256:
+            raise ContractError(f"{what} was made for a different vocab ({self.vocab_id[:12]}...), expected {vocab.sha256[:12]}...")
+        if self.rows.shape[1] != len(vocab):
+            raise ContractError(f"{what} has rows of width {self.rows.shape[1]}, vocab size is {len(vocab)}")
+        if lengths is None:
+            return
+        if len(self.starts) != len(lengths):
+            raise ContractError(f"{what} stacks {len(self.starts)} sentences, not {len(lengths)}")
+        bounds = sentence_bounds(lengths)
+        if self.positions != bounds[-1] or self.starts.tolist() != bounds[:-1]:
+            sizes = np.diff(self.starts, append=self.positions)
+            i = int(np.argmax(sizes != np.diff(bounds)))
+            raise ContractError(f"{what} has {sizes[i]} rows for {lengths[i]} tokens in sentence {i}, not tokens + 1")
+
     @classmethod
     def stack(cls, dists: Sequence["TagDistribution"]) -> "TagDistribution":
         """The rows of ``dists`` stacked in order, each input's sentences kept apart."""
@@ -132,7 +157,9 @@ def keep_certain_distribution(vocab: TagVocab, n_tokens: int) -> TagDistribution
 def _context_keys(tokens: TokenSeq, width: int) -> list[tuple[str, ...]]:
     # Position p looks at positions p - width .. p + width of the sentinel
     # stream [START] + tokens; out-of-range slots pad so sentence edges keep
-    # distinct contexts.
+    # distinct contexts.  A window wider than the stream sees no more of it,
+    # so cutting it there keeps contexts exactly as distinct, in less memory.
+    width = min(width, len(tokens) + 1)
     pad = (PAD_MARKER,) * width
     stream = pad + (START_MARKER,) + tuple(tokens) + pad
     span = 2 * width + 1
@@ -184,8 +211,7 @@ class BaselineTagger:
         rows[hit_rows, hit_cols] += hit_counts
         rows /= rows.sum(axis=1, keepdims=True)
         err = np.clip(1.0 - rows[:, self.vocab.keep_index], 0.0, 1.0)
-        starts = list(accumulate((len(tokens) + 1 for tokens in sentences[:-1]), initial=0))
-        return TagDistribution(self.vocab.sha256, rows, err, starts)
+        return TagDistribution(self.vocab.sha256, rows, err, sentence_bounds(map(len, sentences))[:-1])
 
 
 def train_baselines(
@@ -247,12 +273,6 @@ class MatrixTagger:
     def from_records(cls, vocab: TagVocab, records: Iterable[tuple[TokenSeq, TagDistribution]]) -> "MatrixTagger":
         table: dict[TokenSeq, TagDistribution] = {}
         for tokens, dist in records:
-            if dist.vocab_id != vocab.sha256:
-                raise ContractError(
-                    f"record for {' '.join(tokens)!r} carries vocab {dist.vocab_id[:12]}..., "
-                    f"expected {vocab.sha256[:12]}..."
-                )
-            if len(dist.starts) != 1:
-                raise ContractError(f"record for {' '.join(tokens)!r} stacks {len(dist.starts)} sentences, not one")
+            dist.check_fits(vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
             table.setdefault(tuple(tokens), dist)
         return cls(vocab, table)

@@ -154,6 +154,8 @@ class VerbLexicon:
     def from_entries(cls, entries: Iterable[tuple[str, str, str]]) -> "VerbLexicon":
         forms: dict[tuple[str, str], str] = {}
         for base, key, form in entries:
+            if not is_form_key(key):
+                raise ContractError(f"bad form key {key!r}")
             validate_tokens((base, form))
             if key == BASE_FORM_KEY and form != base:
                 raise ContractError(f"{BASE_FORM_KEY} entry for {base!r} must equal the base, got {form!r}")
@@ -197,8 +199,6 @@ def _lexicon_entry(line: str) -> tuple[str, str, str]:
     if len(parts) != 3 or not all(parts):
         raise FormatError("expected base<TAB>form_key<TAB>inflected")
     base, key, form = parts
-    if not is_form_key(key):
-        raise FormatError(f"bad form key {key!r}")
     return base, key, form
 
 

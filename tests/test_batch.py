@@ -28,7 +28,7 @@ from gec_editkit import (
 )
 from gec_editkit import decode
 from gec_editkit.decode import _chunks
-from gec_editkit.tags import KEEP, TagSeq
+from gec_editkit.tags import DELETE, KEEP, TagSeq
 
 from deskdata import make_corpus
 from gen import random_distribution
@@ -212,3 +212,16 @@ def test_decoder_rejects_rows_that_do_not_fit_the_sentences():
 
     with pytest.raises(ContractError, match="tokens \\+ 1"):
         run_pipeline_batch(ShortTagger(), [("a", "b")])
+
+
+@pytest.mark.parametrize("n_rows, starts", [(4, [0, 3]), (5, [0])], ids=["one-row-short", "two-sentences-one-start"])
+def test_decoder_checks_the_layout_before_applying_any_tag(monkeypatch, n_rows, starts):
+    # All mass on DELETE, so every tag selected from these rows would edit.
+    rows = np.zeros((n_rows, len(VOCAB)))
+    rows[:, VOCAB.index_of(DELETE)] = 1.0
+    bad = TagDistribution(VOCAB.sha256, rows, np.ones(n_rows), starts)
+    applied = []
+    monkeypatch.setattr(decode, "apply_tags", lambda *args: applied.append(args))
+    with pytest.raises(ContractError):
+        decode.decode_iteratively(lambda active: bad, VOCAB, [("a", "b"), ("c",)])
+    assert applied == []

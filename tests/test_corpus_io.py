@@ -277,7 +277,7 @@ WRITERS = [
         lambda path, records: write_matrix_file(path, _VOCAB, records),
         (("a",), random_distribution(_rng, _VOCAB, 1)),
         (("one",), random_distribution(_rng, _VOCAB, 2)),
-        FormatError,
+        ContractError,
         id="matrix",
     ),
 ]

@@ -20,10 +20,14 @@ from gec_editkit import (
     write_matrix_file,
 )
 from gec_editkit import matrix_io
+from gec_editkit import tagger as tagger_module
 from gec_editkit.tagger import (
+    PAD_MARKER,
     PRODUCER_SUM_TOL,
+    START_MARKER,
     BaselineTagger,
     MatrixTagger,
+    _context_keys,
     keep_certain_distribution,
 )
 from gec_editkit.tags import replace
@@ -99,6 +103,32 @@ def test_context_width_zero_keys_on_current_token(small_vocab):
     keys = set(model.counts)
     assert all(len(k) == 1 for k in keys)
     assert ("go",) in keys
+
+
+def _full_width_context_keys(tokens, width):
+    # Every position's window at its full 2 * width + 1 slots, however long the sentence.
+    pad = (PAD_MARKER,) * width
+    stream = pad + (START_MARKER,) + tuple(tokens) + pad
+    return [stream[p : p + 2 * width + 1] for p in range(len(tokens) + 1)]
+
+
+def test_context_keys_stay_short_at_a_huge_width():
+    keys = _context_keys(("a", "b", "c"), 10**5)
+    assert max(map(len, keys)) <= 2 * 4 + 1
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 12, 30])
+def test_context_keys_are_as_distinct_as_full_width_ones(width, monkeypatch):
+    pairs = make_corpus(120, seed=9)
+    vocab = build_vocab(pairs, 200)
+    sentences = [s for s, _ in pairs] + [t for _, t in pairs] + [("zzz",) * 20, ()]
+    cut = [k for s in sentences for k in _context_keys(s, width)]
+    full = [k for s in sentences for k in _full_width_context_keys(s, width)]
+    # One cut key per full-width key and back: the same contexts meet.
+    assert len(set(zip(cut, full))) == len(set(cut)) == len(set(full))
+    rows = train_baseline(pairs, vocab, width).predict_batch(sentences).rows
+    monkeypatch.setattr(tagger_module, "_context_keys", _full_width_context_keys)
+    assert np.array_equal(train_baseline(pairs, vocab, width).predict_batch(sentences).rows, rows)
 
 
 def test_baseline_determinism(small_vocab):
@@ -360,10 +390,10 @@ def test_matrix_vocab_mismatch(tmp_path, small_vocab):
 def test_matrix_write_rejects_foreign_records(tmp_path, small_vocab):
     rng = random.Random(80)
     other = random_vocab(rng)
-    with pytest.raises(FormatError, match="different vocab"):
+    with pytest.raises(ContractError, match="different vocab"):
         write_matrix_file(tmp_path / "m.jsonl", small_vocab, [((), random_distribution(rng, other, 0))])
     short = random_distribution(rng, small_vocab, 3)
-    with pytest.raises(FormatError, match="rows"):
+    with pytest.raises(ContractError, match="rows"):
         write_matrix_file(tmp_path / "m.jsonl", small_vocab, [(("one",), short)])
 
 
@@ -372,7 +402,7 @@ def test_matrix_write_refuses_a_record_of_stacked_sentences(tmp_path, small_voca
     rng = random.Random(81)
     stacked = TagDistribution.stack([random_distribution(rng, small_vocab, 0) for _ in range(2)])
     path = tmp_path / "m.jsonl"
-    with pytest.raises(FormatError, match="stacks 2 sentences"):
+    with pytest.raises(ContractError, match="stacks 2 sentences"):
         write_matrix_file(path, small_vocab, [(("one",), stacked)])
     assert not path.exists()
 
@@ -384,18 +414,44 @@ def test_matrix_tagger_refuses_a_record_of_stacked_sentences(small_vocab):
         MatrixTagger.from_records(small_vocab, [(("one",), stacked)])
 
 
+def _narrow_distribution(vocab, n_tokens):
+    # vocab's hash on rows one column narrower than vocab.
+    width = len(vocab) - 1
+    return TagDistribution(vocab.sha256, np.full((n_tokens + 1, width), 1.0 / width), np.zeros(n_tokens + 1))
+
+
+def test_matrix_tagger_refuses_a_record_of_the_wrong_row_count(small_vocab):
+    rng = random.Random(83)
+    with pytest.raises(ContractError, match="record for 'He go' has 5 rows for 2 tokens"):
+        MatrixTagger.from_records(small_vocab, [(("He", "go"), random_distribution(rng, small_vocab, 4))])
+
+
+def test_matrix_tagger_refuses_a_record_of_the_wrong_width(small_vocab):
+    rng = random.Random(84)
+    good = (("a",), random_distribution(rng, small_vocab, 1))
+    with pytest.raises(ContractError, match="record for 'He go' has rows of width"):
+        MatrixTagger.from_records(small_vocab, [good, (("He", "go"), _narrow_distribution(small_vocab, 2))])
+
+
+def test_matrix_write_refuses_a_record_of_the_wrong_width(tmp_path, small_vocab):
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(ContractError, match="has rows of width"):
+        write_matrix_file(path, small_vocab, [(("He", "go"), _narrow_distribution(small_vocab, 2))])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_matrix_write_failure_leaves_no_partial_file(tmp_path, small_vocab):
     rng = random.Random(82)
     good = (("a",), random_distribution(rng, small_vocab, 1))
     bad = (("one",), random_distribution(rng, small_vocab, 2))
     path = tmp_path / "m.jsonl"
-    with pytest.raises(FormatError, match="3 rows for 1 tokens"):
+    with pytest.raises(ContractError, match="3 rows for 1 tokens"):
         write_matrix_file(path, small_vocab, [good, bad])
     assert list(tmp_path.iterdir()) == []
 
     write_matrix_file(path, small_vocab, [good])
     before = path.read_bytes()
-    with pytest.raises(FormatError):
+    with pytest.raises(ContractError):
         write_matrix_file(path, small_vocab, [good, bad])
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]

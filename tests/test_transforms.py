@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gec_editkit import (
@@ -201,6 +203,21 @@ def test_lexicon_entries_refuse_whitespace_in_tokens():
         VerbLexicon.from_entries([("go", "VBZ", "goes now")])
     with pytest.raises(ContractError, match="empty token"):
         VerbLexicon.from_entries([("go", "VBZ", "")])
+
+
+@pytest.mark.parametrize("key", ["V_Z", "V Z", "VB Z", ""])
+def test_lexicon_entries_refuse_a_bad_form_key(key):
+    with pytest.raises(ContractError, match=re.escape(f"bad form key {key!r}")):
+        VerbLexicon.from_entries([("go", key, "went")])
+
+
+def test_lexicon_file_refuses_a_bad_form_key_at_its_line(tmp_path):
+    path = tmp_path / "verbs.tsv"
+    path.write_text("go\tVBZ\tgoes\ngo\tV_Z\twent\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        VerbLexicon.from_path(path)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"{path}:2: bad form key 'V_Z'"
 
 
 def test_lexicon_reverse_lookup_prefers_smallest_base():
