@@ -7,6 +7,9 @@ Python run extraction, on the active backend.  It does not time any CLI
 command; ``perfbench/`` is the end-to-end instrument, and there the kernel is
 only a part of vocabulary building, span voting, and scoring.
 
+With the defaults, on a 2-vCPU Xeon with Python 3.11, the compiled kernel ran
+10-13x faster than the bit-parallel pure-Python one (median 12x of 3 runs).
+
 Usage::
 
     python benchmarks/bench_alignment.py [--pairs 2000] [--max-len 30] [--seed 0]

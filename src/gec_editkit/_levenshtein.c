@@ -1,8 +1,10 @@
 /* Compiled Levenshtein kernel, module gec_editkit._levenshtein_c, built by setup.py.
  *
- * The same unit-cost DP and the same backtrace preferences (MATCH,
- * SUBSTITUTE, DELETE, INSERT) as the pure-Python reference in _levenshtein.py,
- * so both backends return identical op streams.
+ * It fills the full (n+1)(m+1) DP table, where the pure-Python kernel in
+ * _levenshtein.py computes the same distances bit-parallel.  Both use unit
+ * costs and the same backtrace preferences (MATCH, SUBSTITUTE, DELETE,
+ * INSERT), so they return identical op streams;
+ * tests/test_kernels.py::test_kernel_equals_the_dp_oracle checks both.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -1,9 +1,14 @@
 """Pure-Python Levenshtein kernel (fallback for the compiled extension).
 
 Operates on integer id sequences; token interning happens in ``align``.
-This is the reference: the compiled twin in ``_levenshtein.c`` (module
-``_levenshtein_c``) implements the exact same DP, backtrace preferences and
-op codes, so both backends produce identical op streams.
+The distances come from Myers' bit-vector algorithm (G. Myers, JACM 1999) in
+Hyyrö's form for global edit distance (H. Hyyrö, Nordic J. Computing 2003),
+with Python ints as bit vectors of any width.  The compiled kernel in
+``_levenshtein.c`` (module ``_levenshtein_c``) fills the full DP table
+instead.  The two use the same unit costs, the same backtrace preferences and
+the same op codes, so they return identical op streams;
+``tests/test_kernels.py::test_kernel_equals_the_dp_oracle`` checks both
+against the plain DP kept in ``tests/levenshtein_oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,52 +26,57 @@ def backtrace_ops(src_ids: list[int], tgt_ids: list[int]) -> bytes:
     prefers MATCH, then SUBSTITUTE, then DELETE, then INSERT, which makes the
     op stream deterministic across runs and platforms.  Returns one op code
     per step, in forward order.
+
+    With ``D[i][j]`` the distance between the first ``i`` source ids and the
+    first ``j`` target ids, column ``j`` is kept as bit vectors over rows
+    ``1..n`` (bit ``i - 1`` for row ``i``): ``pv`` holds the rows where
+    ``D[i][j] - D[i-1][j]`` is +1, ``mv`` where it is -1, and ``d0`` where
+    ``D[i][j] == D[i-1][j-1]``.  The backtrace reads those bits: SUBSTITUTE
+    when ``d0`` is clear, DELETE when ``pv`` is set.  Equal ids always have
+    ``D[i][j] == D[i-1][j-1]``, so they are a MATCH with no bit to read.
     """
-    n, m = len(src_ids), len(tgt_ids)
-    width = m + 1
-    dp = [0] * ((n + 1) * width)
-    for j in range(1, width):
-        dp[j] = j
-    for i in range(1, n + 1):
-        row = i * width
-        prev = row - width
-        dp[row] = i
-        s = src_ids[i - 1]
-        for j in range(1, width):
-            above = dp[prev + j]
-            left = dp[row + j - 1]
-            diag = dp[prev + j - 1]
-            if s == tgt_ids[j - 1]:
-                best = diag
-                if above + 1 < best:
-                    best = above + 1
-                if left + 1 < best:
-                    best = left + 1
-            else:
-                best = diag + 1
-                if above + 1 < best:
-                    best = above + 1
-                if left + 1 < best:
-                    best = left + 1
-            dp[row + j] = best
+    n = len(src_ids)
+    full = (1 << n) - 1
+    peq: dict[int, int] = {}  # id -> the rows that hold it
+    bit = 1
+    for s in src_ids:
+        peq[s] = peq.get(s, 0) | bit
+        bit <<= 1
+    # Column 0 is D[i][0] = i: every vertical delta is +1.
+    pv, mv = full, 0
+    pvs, d0s = [pv], [0]
+    for t in tgt_ids:
+        eq = peq.get(t, 0)
+        xv = eq | mv
+        d0 = (((eq & pv) + pv) ^ pv) | xv
+        ph = mv | (full & ~(d0 | pv))
+        mh = pv & d0
+        # Row 0 is D[0][j] = j, so a +1 horizontal delta shifts in at the top.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (full & ~(xv | ph))
+        mv = ph & xv
+        pvs.append(pv)
+        d0s.append(d0)
 
     ops = bytearray()
-    i, j = n, m
-    while i > 0 or j > 0:
-        cost = dp[i * width + j]
-        if i > 0 and j > 0 and src_ids[i - 1] == tgt_ids[j - 1] and dp[(i - 1) * width + j - 1] == cost:
+    i, j = n, len(tgt_ids)
+    while i and j:
+        if src_ids[i - 1] == tgt_ids[j - 1]:
             ops.append(OP_MATCH)
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and dp[(i - 1) * width + j - 1] + 1 == cost:
+        elif not d0s[j] >> (i - 1) & 1:
             ops.append(OP_SUBSTITUTE)
             i -= 1
             j -= 1
-        elif i > 0 and dp[(i - 1) * width + j] + 1 == cost:
+        elif pvs[j] >> (i - 1) & 1:
             ops.append(OP_DELETE)
             i -= 1
         else:
             ops.append(OP_INSERT)
             j -= 1
+    # On an edge only one way is left: up column 0 or along row 0.
+    ops += bytes([OP_DELETE]) * i + bytes([OP_INSERT]) * j
     ops.reverse()
     return bytes(ops)

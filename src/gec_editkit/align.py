@@ -3,9 +3,10 @@
 The Levenshtein kernel is the hot loop of every corpus-scale operation
 (vocabulary building, baseline training, span voting, scoring), so it lives
 in the compiled extension ``_levenshtein_c`` (built from ``_levenshtein.c``)
-when one is built; otherwise the pure-Python twin in ``_levenshtein`` runs.
-Both return one op code per alignment step, and this module reads those
-codes directly.
+when one is built; otherwise the bit-parallel pure-Python kernel in
+``_levenshtein`` runs.  They differ in algorithm but return identical op
+streams, one op code per alignment step, and this module reads those codes
+directly.
 """
 
 from __future__ import annotations

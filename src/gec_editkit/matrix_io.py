@@ -9,11 +9,11 @@ Every following line is one sentence record::
     {"tokens": [...], "rows": [[...], ...], "error_probs": [...]}
 
 Rows include the START position first, so there are len(tokens) + 1 of them.
-A record is valid when ``tokens`` is a list of tokens (``spans.is_token``),
-``rows`` holds len(tokens) + 1 lists of exactly ``vocab_size`` numbers, and
-``error_probs`` holds one number per row.  Every number must be a JSON number
-or boolean (no strings, no null) within [0, 1], and each row must sum to 1
-within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's arrays
+A sentence has at most one record.  A record is valid when ``tokens`` is a
+list of tokens (``spans.is_token``), ``rows`` holds len(tokens) + 1 lists of
+exactly ``vocab_size`` numbers, and ``error_probs`` holds one number per row.
+Every number must be a JSON number or boolean (no strings, no null) within
+[0, 1], and each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's arrays
 once, checks the shape of ``rows`` and leaves the rest (the ``error_probs``
 length and every numeric check) to TagDistribution, so they run vectorised
 and only once.  The writer leaves its in-memory records to
@@ -64,14 +64,22 @@ def read_matrix_file(path: str | Path, vocab: TagVocab | None = None) -> list[Ma
     """The (tokens, distribution) records of a v1 matrix file, validated as read.
 
     When ``vocab`` is given, the file's vocab hash must match it.  Any
-    malformed record raises FormatError naming the file and line.
+    malformed record, or a second record for the same tokens, raises
+    FormatError naming the file and line.
     """
     with read_lines(path) as lines:
         first = next(lines, None)
         if first is None:
             raise FormatError("empty matrix file: missing header")
         vocab_id, vocab_size = _parse_header(first, vocab)
-        return [_parse_record(line, vocab_id, vocab_size) for line in lines if line.strip()]
+        records: dict[TokenSeq, TagDistribution] = {}
+        for line in lines:
+            if line.strip():
+                tokens, dist = _parse_record(line, vocab_id, vocab_size)
+                if tokens in records:
+                    raise FormatError(f"repeated record for {' '.join(tokens)!r}")
+                records[tokens] = dist
+        return list(records.items())
 
 
 def _parse_header(line: str, vocab: TagVocab | None) -> tuple[str, int]:

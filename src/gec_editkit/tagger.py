@@ -255,9 +255,10 @@ def train_baseline(
 class MatrixTagger:
     """Serves per-sentence distributions read from a matrix file.
 
-    Lookup is by exact token sequence.  Sentences absent from the file (for
-    example intermediates produced mid-pipeline that the external model never
-    scored) predict KEEP everywhere, which simply stops the iteration.
+    Lookup is by exact token sequence, so a sentence may have only one
+    record.  Sentences absent from the file (for example intermediates
+    produced mid-pipeline that the external model never scored) predict KEEP
+    everywhere, which simply stops the iteration.
     """
 
     vocab: TagVocab
@@ -274,5 +275,8 @@ class MatrixTagger:
         table: dict[TokenSeq, TagDistribution] = {}
         for tokens, dist in records:
             dist.check_fits(vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
-            table.setdefault(tuple(tokens), dist)
+            key = tuple(tokens)
+            if key in table:
+                raise ContractError(f"repeated record for {' '.join(key)!r}")
+            table[key] = dist
         return cls(vocab, table)

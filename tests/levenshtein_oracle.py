@@ -1,0 +1,68 @@
+"""The plain O(n*m) Levenshtein DP: the test oracle for both alignment kernels.
+
+It fills the whole (n+1)(m+1) table one cell at a time, as the compiled
+kernel does, with unit costs and a backtrace that prefers MATCH, then
+SUBSTITUTE, then DELETE, then INSERT.
+"""
+
+from __future__ import annotations
+
+from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
+
+
+def backtrace_ops(src_ids: list[int], tgt_ids: list[int]) -> bytes:
+    """Minimal-cost edit script between two id sequences.
+
+    Unit costs for substitute/delete/insert, zero for match.  The backtrace
+    prefers MATCH, then SUBSTITUTE, then DELETE, then INSERT, which makes the
+    op stream deterministic across runs and platforms.  Returns one op code
+    per step, in forward order.
+    """
+    n, m = len(src_ids), len(tgt_ids)
+    width = m + 1
+    dp = [0] * ((n + 1) * width)
+    for j in range(1, width):
+        dp[j] = j
+    for i in range(1, n + 1):
+        row = i * width
+        prev = row - width
+        dp[row] = i
+        s = src_ids[i - 1]
+        for j in range(1, width):
+            above = dp[prev + j]
+            left = dp[row + j - 1]
+            diag = dp[prev + j - 1]
+            if s == tgt_ids[j - 1]:
+                best = diag
+                if above + 1 < best:
+                    best = above + 1
+                if left + 1 < best:
+                    best = left + 1
+            else:
+                best = diag + 1
+                if above + 1 < best:
+                    best = above + 1
+                if left + 1 < best:
+                    best = left + 1
+            dp[row + j] = best
+
+    ops = bytearray()
+    i, j = n, m
+    while i > 0 or j > 0:
+        cost = dp[i * width + j]
+        if i > 0 and j > 0 and src_ids[i - 1] == tgt_ids[j - 1] and dp[(i - 1) * width + j - 1] == cost:
+            ops.append(OP_MATCH)
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and dp[(i - 1) * width + j - 1] + 1 == cost:
+            ops.append(OP_SUBSTITUTE)
+            i -= 1
+            j -= 1
+        elif i > 0 and dp[(i - 1) * width + j] + 1 == cost:
+            ops.append(OP_DELETE)
+            i -= 1
+        else:
+            ops.append(OP_INSERT)
+            j -= 1
+    ops.reverse()
+    return bytes(ops)

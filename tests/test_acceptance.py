@@ -330,7 +330,9 @@ def test_criterion_8_format_fidelity(tmp_path, capsys):
     for _ in range(25):
         n = rng.randint(0, 8)
         tokens = tuple(f"t{rng.randrange(12)}" for _ in range(n))
-        records.append((tokens, random_distribution(rng, vocab, n)))
+        dist = random_distribution(rng, vocab, n)
+        if tokens not in dict(records):  # a sentence has one record
+            records.append((tokens, dist))
     mpath = tmp_path / "m.jsonl"
     write_matrix_file(mpath, vocab, records)
     back = read_matrix_file(mpath, vocab)

@@ -13,10 +13,12 @@ from gec_editkit import (
     read_vocab_file,
     write_m2,
     write_sentences,
+    write_matrix_file,
     write_tsv_corpus,
 )
 from gec_editkit.cli import main
 from gec_editkit.corpus import M2Block, M2Edit
+from gec_editkit.tagger import keep_certain_distribution
 
 from deskdata import make_corpus
 
@@ -590,6 +592,25 @@ def test_matrix_file_tagger_through_cli(workspace):
     assert rc == 0
     expected = [gk.run_pipeline(model, s, gk.Hyperparams(max_iters=2)).output for s in sentences]
     assert read_sentences(out) == expected
+
+
+def test_matrix_file_with_a_repeated_sentence_fails_at_its_line(workspace, capsys):
+    tmp_path, _, eval_txt, _, _, vocab_path, _ = workspace
+    vocab = read_vocab_file(vocab_path)
+    sentence = read_sentences(eval_txt)[0]
+    matrix_path = tmp_path / "external.jsonl"
+    write_matrix_file(matrix_path, vocab, [(sentence, keep_certain_distribution(vocab, len(sentence)))])
+    header, record = matrix_path.read_text(encoding="utf-8").splitlines()
+    matrix_path.write_text("\n".join([header, record, record]) + "\n", encoding="utf-8")
+
+    out = tmp_path / "matrix_corrected.txt"
+    rc = main([
+        "correct", "--input", str(eval_txt), "--output", str(out),
+        "--vocab", str(vocab_path), "--tagger", f"matrix={matrix_path}",
+    ])
+    assert rc == 1
+    assert f"{matrix_path}:3: repeated record for" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lexicon_flag_enables_verb_tags(tmp_path):

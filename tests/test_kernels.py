@@ -2,7 +2,8 @@
 
 The compiled kernel is built with the package's own recipe,
 ``setup.py build_ext``, into a temporary directory, so the kernels are
-compared wherever a C compiler and the interpreter headers exist.
+compared wherever a C compiler and the interpreter headers exist.  Both are
+also checked against the plain DP in ``levenshtein_oracle``.
 """
 
 import importlib
@@ -17,7 +18,10 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import levenshtein_oracle
 from gec_editkit import _levenshtein
 from gec_editkit.align import alignment_backend
 
@@ -43,6 +47,29 @@ def compiled(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session", params=["python", "c"])
+def kernel(request):
+    return _levenshtein if request.param == "python" else request.getfixturevalue("compiled")
+
+
+@st.composite
+def id_pairs(draw):
+    """Two id sequences of 0-200 ids over an alphabet of 1-8.
+
+    Past 64 ids a column's bit vectors are wider than one machine word.
+    """
+    ids = st.integers(0, draw(st.integers(1, 8)) - 1)
+    seq = st.integers(0, 200).flatmap(lambda k: st.lists(ids, min_size=k, max_size=k))
+    return draw(seq), draw(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=id_pairs())
+def test_kernel_equals_the_dp_oracle(kernel, pair):
+    src, tgt = pair
+    assert kernel.backtrace_ops(src, tgt) == levenshtein_oracle.backtrace_ops(src, tgt)
 
 
 def random_ids(rng, max_len=40):

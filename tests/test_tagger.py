@@ -191,7 +191,9 @@ def test_matrix_round_trip(tmp_path):
     for _ in range(12):
         n = rng.randint(0, 6)
         tokens = tuple(f"w{rng.randrange(10)}" for _ in range(n))
-        records.append((tokens, random_distribution(rng, vocab, n)))
+        dist = random_distribution(rng, vocab, n)
+        if tokens not in dict(records):  # a sentence has one record
+            records.append((tokens, dist))
     path = tmp_path / "m.jsonl"
     write_matrix_file(path, vocab, records)
     back = read_matrix_file(path, vocab)
@@ -320,6 +322,8 @@ def matrix_records(draw):
     records = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         tokens = tuple(draw(st.lists(st.sampled_from(["a", "b", "ü", "日本"]), max_size=5)))
+        if tokens in dict(records):  # a sentence has one record
+            continue
         rows = np.array(draw(st.lists(
             st.lists(prob, min_size=len(vocab), max_size=len(vocab)),
             min_size=len(tokens) + 1, max_size=len(tokens) + 1,
@@ -418,6 +422,26 @@ def _narrow_distribution(vocab, n_tokens):
     # vocab's hash on rows one column narrower than vocab.
     width = len(vocab) - 1
     return TagDistribution(vocab.sha256, np.full((n_tokens + 1, width), 1.0 / width), np.zeros(n_tokens + 1))
+
+
+def test_matrix_tagger_refuses_a_repeated_sentence(small_vocab):
+    rng = random.Random(85)
+    sentences = [("He", "go"), ("a",), ("He", "go")]
+    records = [(tokens, random_distribution(rng, small_vocab, len(tokens))) for tokens in sentences]
+    with pytest.raises(ContractError, match="repeated record for 'He go'"):
+        MatrixTagger.from_records(small_vocab, records)
+
+
+def test_matrix_reader_refuses_a_repeated_sentence_at_its_line(tmp_path, small_vocab):
+    rng = random.Random(86)
+    path = tmp_path / "m.jsonl"
+    records = [(tokens, random_distribution(rng, small_vocab, len(tokens))) for tokens in [("He", "go"), ("a",)]]
+    write_matrix_file(path, small_vocab, records)
+    header, *records = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *records, records[0]]) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="repeated record for 'He go'") as exc:
+        read_matrix_file(path, small_vocab)
+    assert (exc.value.path, exc.value.line) == (str(path), 4)
 
 
 def test_matrix_tagger_refuses_a_record_of_the_wrong_row_count(small_vocab):
