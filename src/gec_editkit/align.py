@@ -7,6 +7,14 @@ when one is built; otherwise the bit-parallel pure-Python kernel in
 ``_levenshtein`` runs.  They differ in algorithm but return identical op
 streams, one op code per alignment step, and this module reads those codes
 directly.
+
+The common suffix of a pair never reaches the kernel.  The backtrace starts
+at the end of both sequences and takes equal ids as MATCH before reading
+anything else, so it always consumes the maximal common suffix as MATCHes,
+and what it does afterwards depends only on the prefixes left.  Aligning the
+prefixes alone therefore gives exactly the full op stream minus its trailing
+MATCHes, on either kernel.  The common prefix gets no such shortcut: the
+backtrace reaches it last, after choices that may have used its tokens.
 """
 
 from __future__ import annotations
@@ -48,8 +56,19 @@ def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, 
     MATCH and SUBSTITUTE consume one token on each side, DELETE only a source
     token, INSERT only a target token.  The backtrace prefers MATCH, then
     SUBSTITUTE, then DELETE, then INSERT, so the runs are deterministic.
+
+    Only the parts before the common suffix go to the kernel.  The backtrace
+    would match that suffix token by token before anything else, and the ops
+    it picks from there on depend only on the prefixes, so they are the same
+    ops; trailing MATCHes open no run.  Trimming the common prefix as well
+    would not be exact: ``("a", "x")`` to ``("a", "a", "y")`` aligns as
+    [0, 0) -> a, [1, 2) -> y, but with the prefix cut off as [1, 2) -> a y.
     """
-    codes = _kernel.backtrace_ops(*_intern(source, target))
+    n, m = len(source), len(target)
+    while n and m and source[n - 1] == target[m - 1]:
+        n -= 1
+        m -= 1
+    codes = _kernel.backtrace_ops(*_intern(source[:n], target[:m]))
     runs: list[tuple[int, int, int, int, bytes]] = []
     i = j = src_start = tgt_start = 0
     start = -1  # index into codes where the open run began, or -1

@@ -18,7 +18,8 @@ once, checks the shape of ``rows`` and leaves the rest (the ``error_probs``
 length and every numeric check) to TagDistribution, so they run vectorised
 and only once.  The writer leaves its in-memory records to
 TagDistribution.check_fits, the one check of vocab, width and layout that
-the decoder and MatrixTagger use too, so a bad record raises ContractError.
+the decoder and MatrixTagger use too, so a bad record raises ContractError,
+as does a second record for the same tokens, which the reader would refuse.
 
 The reader parses each line with orjson, which is strict JSON: ``NaN`` and
 ``Infinity`` literals, lone surrogates such as ``"\\ud800"`` and numbers
@@ -39,7 +40,7 @@ import numpy as np
 import orjson
 
 from .corpus import read_lines, write_lines
-from .errors import EditKitError, FormatError
+from .errors import ContractError, EditKitError, FormatError
 from .spans import TokenSeq, validate_tokens
 from .tagger import TagDistribution
 from .vocab import TagVocab
@@ -50,13 +51,21 @@ MatrixRecord = tuple[TokenSeq, TagDistribution]
 
 
 def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
-    """Write ``records`` as a v1 matrix file; a bad record leaves ``path`` untouched."""
+    """Write ``records`` as a v1 matrix file; a bad or repeated record leaves ``path`` untouched."""
     header = {"format": MATRIX_FORMAT, "vocab_sha256": vocab.sha256, "vocab_size": len(vocab)}
-    write_lines(path, chain([json.dumps(header)], (_record_line(vocab, tokens, dist) for tokens, dist in records)))
+    written: set[TokenSeq] = set()
+    write_lines(
+        path,
+        chain([json.dumps(header)], (_record_line(vocab, tokens, dist, written) for tokens, dist in records)),
+    )
 
 
-def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution) -> str:
+def _record_line(vocab: TagVocab, tokens: TokenSeq, dist: TagDistribution, written: set[TokenSeq]) -> str:
     dist.check_fits(vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
+    key = tuple(tokens)
+    if key in written:
+        raise ContractError(f"repeated record for {' '.join(key)!r}")
+    written.add(key)
     return json.dumps({"tokens": list(tokens), "rows": dist.rows.tolist(), "error_probs": dist.error_probs.tolist()})
 
 

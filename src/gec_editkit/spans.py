@@ -20,8 +20,18 @@ def validate_tokens(tokens: Iterable[str]) -> TokenSeq:
 
     Every element must be a token (``is_token``); the sequence itself may be
     empty.  Tokenization is the caller's concern.
+
+    Strings are all tokens exactly when joining them with spaces and splitting
+    the result again gives them back: a whitespace character splits its
+    element, and an empty element vanishes.  That one check runs in C; the
+    per-element loop only runs to name the first bad element.
     """
     out = tuple(tokens)
+    try:
+        if tuple(" ".join(out).split()) == out:
+            return out
+    except TypeError:  # an element is not a str
+        pass
     for tok in out:
         if not is_token(tok):
             if not isinstance(tok, str):

@@ -31,6 +31,10 @@ class TagKind(Enum):
     SPLIT_HYPHEN = "SPLIT_HYPHEN"
     UNKNOWN = "UNKNOWN"
 
+    # Members are singletons and compare by identity, so identity hashing
+    # agrees with ==, and it runs in C where Enum.__hash__ is Python code.
+    __hash__ = object.__hash__
+
 
 # The kinds the START slot may carry (nothing precedes it).  A tuple: testing
 # membership of an enum member is faster than in a frozenset, which hashes it.
@@ -162,4 +166,5 @@ class TagSeq(tuple):
 
     @property
     def all_keep(self) -> bool:
-        return all(tag.is_keep for tag in self)
+        # count compares with ==, so a KEEP tag other than the KEEP object counts too.
+        return self.count(KEEP) == len(self)

@@ -34,6 +34,7 @@ class TagVocab:
     tags: tuple[Tag, ...]
     index: dict[Tag, int] = field(init=False, repr=False, compare=False)
     sha256: str = field(init=False, compare=False)
+    unknown_index: int = field(init=False, repr=False, compare=False)
     _start_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -47,6 +48,7 @@ class TagVocab:
                 raise ContractError(f"vocab is missing mandatory tag {format_tag(must)}")
         digest = hashlib.sha256("\n".join(format_tag(t) for t in self.tags).encode("utf-8"))
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "unknown_index", index[UNKNOWN])
         object.__setattr__(self, "sha256", digest.hexdigest())
         start_mask = np.array([t.kind in START_KINDS for t in self.tags])
         start_mask.flags.writeable = False
@@ -62,13 +64,9 @@ class TagVocab:
     def keep_index(self) -> int:
         return 0
 
-    @property
-    def unknown_index(self) -> int:
-        return self.index[UNKNOWN]
-
     def index_of(self, tag: Tag) -> int:
         """Index of ``tag``, mapping out-of-vocabulary tags to UNKNOWN."""
-        return self.index.get(tag, self.index[UNKNOWN])
+        return self.index.get(tag, self.unknown_index)
 
     def start_position_mask(self) -> np.ndarray:
         """Read-only bool array, True for indices selectable at START (START_KINDS)."""

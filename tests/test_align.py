@@ -1,7 +1,13 @@
 import random
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import levenshtein_oracle
 from gec_editkit import (
     EditSpan,
+    align,
     apply_edits,
     apply_tags,
     build_vocab,
@@ -11,7 +17,7 @@ from gec_editkit import (
     train_baseline,
 )
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
-from gec_editkit.align import _intern, encode_passes
+from gec_editkit.align import _intern, _runs, encode_passes
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
 
@@ -123,6 +129,52 @@ def test_extract_edits_disjoint_sorted_no_identity():
             assert prev.end < cur.start
         for e in edits:
             assert e.replacement != src[e.start:e.end]
+
+
+def untrimmed_oracle_runs(source, target):
+    """_runs read off the oracle's op stream for the whole pair, suffix included."""
+    codes = levenshtein_oracle.backtrace_ops(*_intern(source, target))
+    runs = []
+    i = j = 0
+    start = -1
+    for k, code in enumerate(codes):
+        if code == OP_MATCH:
+            if start >= 0:
+                runs.append((src_start, i, tgt_start, j, codes[start:k]))
+                start = -1
+        elif start < 0:
+            start, src_start, tgt_start = k, i, j
+        i += code != OP_INSERT
+        j += code != OP_DELETE
+    if start >= 0:
+        runs.append((src_start, i, tgt_start, j, codes[start:]))
+    return runs
+
+
+@st.composite
+def pairs_with_a_shared_suffix(draw):
+    """Two token sequences of 0-40 tokens over 1-3 words, each followed by one shared suffix of 0-40."""
+    words = st.sampled_from("abc"[: draw(st.integers(1, 3))])
+    part = st.lists(words, max_size=40).map(tuple)
+    suffix = draw(part)
+    return draw(part) + suffix, draw(part) + suffix
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=pairs_with_a_shared_suffix())
+def test_trimming_the_common_suffix_changes_no_alignment(kernel, pair):
+    source, target = pair
+    with mock.patch.object(align, "_runs", untrimmed_oracle_runs):
+        expected = (untrimmed_oracle_runs(source, target), extract_edits(source, target), encode_tags(source, target))
+    with mock.patch.object(align, "_kernel", kernel):
+        assert (_runs(source, target), extract_edits(source, target), encode_tags(source, target)) == expected
+
+
+def test_the_common_prefix_is_aligned_not_trimmed():
+    # Trimming the shared "a" too would change the edits: the backtrace meets
+    # the prefix last, and here it matches the source's "a" to the second one.
+    assert extract_edits(("a", "x"), ("a", "a", "y")) == [EditSpan(0, 0, ("a",)), EditSpan(1, 2, ("y",))]
+    assert extract_edits(("x",), ("a", "y")) == [EditSpan(0, 1, ("a", "y"))]
 
 
 def test_encode_identity_is_all_keep():

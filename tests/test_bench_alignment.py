@@ -17,3 +17,4 @@ def test_bench_alignment_reports_extract_edits():
     )
     assert "kernel alone, pure python" in out.stdout
     assert "extract_edits, kernel plus run extraction" in out.stdout
+    assert "extract_edits, identical or shared-suffix pairs" in out.stdout

@@ -25,7 +25,7 @@ from gec_editkit import (
     write_vocab_file,
 )
 from gec_editkit.corpus import read_lines
-from gec_editkit.tags import KEEP
+from gec_editkit.tags import DELETE, KEEP
 
 from gen import random_distribution, random_pair, random_tokens
 
@@ -261,21 +261,23 @@ def _write_vocab_tags(path, tags):
 
 
 _rng = random.Random(7)
-# (writer, a good record, a bad record, what the bad record raises)
+# (writer, a good record, another good record, a bad record, what the bad record raises)
 WRITERS = [
-    pytest.param(write_sentences, ("a", "b"), ("bad tok",), ContractError, id="sentences"),
-    pytest.param(write_tsv_corpus, (("a",), ("b",)), ((), ()), ContractError, id="tsv"),
+    pytest.param(write_sentences, ("a", "b"), ("c",), ("bad tok",), ContractError, id="sentences"),
+    pytest.param(write_tsv_corpus, (("a",), ("b",)), (("c",), ("d",)), ((), ()), ContractError, id="tsv"),
     pytest.param(
         write_m2,
         M2Block(("a", "b"), {0: (M2Edit(EditSpan(0, 1, ("c",))),)}),
+        M2Block(("d",), {0: ()}),
         M2Block(("a",), {0: (M2Edit(EditSpan(0, 1, ("x|||y",))),)}),
         ContractError,
         id="m2",
     ),
-    pytest.param(_write_vocab_tags, KEEP, "$KEEP", AttributeError, id="vocab"),
+    pytest.param(_write_vocab_tags, KEEP, DELETE, "$KEEP", AttributeError, id="vocab"),
     pytest.param(
         lambda path, records: write_matrix_file(path, _VOCAB, records),
         (("a",), random_distribution(_rng, _VOCAB, 1)),
+        (("b", "c"), random_distribution(_rng, _VOCAB, 2)),
         (("one",), random_distribution(_rng, _VOCAB, 2)),
         ContractError,
         id="matrix",
@@ -283,18 +285,18 @@ WRITERS = [
 ]
 
 
-@pytest.mark.parametrize("write, good, bad, error", WRITERS)
-def test_a_failed_write_leaves_nothing_behind(tmp_path, write, good, bad, error):
+@pytest.mark.parametrize("write, good, other, bad, error", WRITERS)
+def test_a_failed_write_leaves_nothing_behind(tmp_path, write, good, other, bad, error):
     path = tmp_path / "out"
     with pytest.raises(error):
         write(path, [good, bad])
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("write, good, bad, error", WRITERS)
-def test_a_failed_write_keeps_the_old_target(tmp_path, write, good, bad, error):
+@pytest.mark.parametrize("write, good, other, bad, error", WRITERS)
+def test_a_failed_write_keeps_the_old_target(tmp_path, write, good, other, bad, error):
     path = tmp_path / "out"
-    write(path, [good, good])
+    write(path, [good, other])
     before = path.read_bytes()
     with pytest.raises(error):
         write(path, [good, bad])
@@ -302,8 +304,8 @@ def test_a_failed_write_keeps_the_old_target(tmp_path, write, good, bad, error):
     assert os.listdir(tmp_path) == ["out"]
 
 
-@pytest.mark.parametrize("write, good, bad, error", WRITERS)
-def test_a_written_file_gets_the_mode_open_gives(tmp_path, write, good, bad, error):
+@pytest.mark.parametrize("write, good, other, bad, error", WRITERS)
+def test_a_written_file_gets_the_mode_open_gives(tmp_path, write, good, other, bad, error):
     path = tmp_path / "out"
     write(path, [good])
     plain = tmp_path / "plain"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gec_editkit import ContractError, EditOverlapError, EditSpan, SpanRangeError, apply_edits
-from gec_editkit.spans import edits_conflict, is_token
+from gec_editkit.spans import edits_conflict, is_token, validate_tokens
 
 from gen import random_edit_list, random_tokens
 
@@ -126,3 +126,34 @@ def test_no_isspace_character_is_or_joins_a_token():
         assert not any(map(is_token, (space, "a" + space + "b", space + "a", "a" + space))), hex(ord(space))
     assert is_token("a") and not is_token("") and not is_token(None) and not is_token(b"a")
 
+
+def first_token_error(tokens):
+    """The message for the first non-token in ``tokens``, checked one element at a time, or None."""
+    for tok in tokens:
+        if not isinstance(tok, str):
+            return f"token must be str, got {tok!r}"
+        if not is_token(tok):
+            return f"token contains whitespace: {tok!r}" if tok else "empty token"
+    return None
+
+
+_ODD_ELEMENTS = ["\x1c", "\x85", "\u2028", "\u3000", "", "a b", "a\x1cb", "\u3000a", 7, None, b"a", ("a",)]
+
+
+@given(st.lists(st.sampled_from(["a", "bc", "\u00e9"] + _ODD_ELEMENTS) | st.text(), max_size=6))
+def test_validate_tokens_accepts_exactly_sequences_of_tokens(tokens):
+    expected = first_token_error(tokens)
+    if expected is None:
+        assert all(map(is_token, tokens))
+        assert validate_tokens(tokens) == validate_tokens(iter(tokens)) == tuple(tokens)
+    else:
+        with pytest.raises(ContractError) as exc:
+            validate_tokens(tokens)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("bad", _ODD_ELEMENTS)
+def test_validate_tokens_names_the_first_bad_element(bad):
+    with pytest.raises(ContractError) as exc:
+        validate_tokens(["a", bad, "b c", ""])
+    assert str(exc.value) == first_token_error([bad])

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_baseline_probabilities_are_count_ratios(small_vocab):
     assert row[y_idx] == pytest.approx(1.5 / total)
     assert row[z_idx] == pytest.approx(1.5 / total)
     assert row[vocab.keep_index] == pytest.approx(0.5 / total)
+
+
+def test_baseline_rows_equal_the_per_hit_loop():
+    # The reference: each seen count added to its cell one at a time, then normalised.
+    rng = random.Random(88)
+    pairs = [random_pair(rng, max_len=10) for _ in range(60)]
+    vocab = build_vocab(pairs, 100)
+    sentences = [src for src, _ in pairs[:20]] + [random_pair(rng, max_len=8)[0] for _ in range(10)] + [()]
+    for width in (0, 1, 2):
+        model = train_baseline(pairs, vocab, context_width=width, smoothing=0.3)
+        keys = [key for tokens in sentences for key in _context_keys(tokens, width)]
+        expected = np.full((len(keys), len(vocab)), 0.3)
+        for r, key in enumerate(keys):
+            for col, count in model.counts.get(key, {}).items():
+                expected[r, col] += count
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.array_equal(model.predict_batch(sentences).rows, expected)
 
 
 def test_empty_corpus_gives_uniform_model(small_vocab):
@@ -430,6 +448,15 @@ def test_matrix_tagger_refuses_a_repeated_sentence(small_vocab):
     records = [(tokens, random_distribution(rng, small_vocab, len(tokens))) for tokens in sentences]
     with pytest.raises(ContractError, match="repeated record for 'He go'"):
         MatrixTagger.from_records(small_vocab, records)
+
+
+def test_matrix_writer_refuses_a_repeated_sentence_and_writes_nothing(tmp_path, small_vocab):
+    rng = random.Random(87)
+    sentences = [("He", "go"), ("a",), ("He", "go")]
+    records = [(tokens, random_distribution(rng, small_vocab, len(tokens))) for tokens in sentences]
+    with pytest.raises(ContractError, match="repeated record for 'He go'"):
+        write_matrix_file(tmp_path / "m.jsonl", small_vocab, records)
+    assert os.listdir(tmp_path) == []
 
 
 def test_matrix_reader_refuses_a_repeated_sentence_at_its_line(tmp_path, small_vocab):

@@ -89,3 +89,21 @@ def test_tagseq_start_position_rule():
         TagSeq([replace("x"), KEEP])
     with pytest.raises(ValueError):
         TagSeq([])
+
+
+def test_equal_tags_hash_equal():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        tag = random_tag(rng)
+        for twin in (Tag(tag.kind, tag.payload), parse_tag(format_tag(tag))):
+            assert twin == tag and hash(twin) == hash(tag)
+    assert len({Tag(TagKind.KEEP), KEEP, parse_tag("$KEEP")}) == 1
+    assert all(hash(kind) == hash(TagKind(kind.value)) for kind in TagKind)
+
+
+def test_all_keep_counts_keep_tags_that_are_not_the_keep_object():
+    fresh = [Tag(TagKind.KEEP) for _ in range(3)]
+    assert all(tag is not KEEP for tag in fresh)
+    assert TagSeq(fresh).all_keep
+    assert TagSeq([KEEP, *fresh]).all_keep
+    assert not TagSeq([*fresh, Tag(TagKind.DELETE)]).all_keep
