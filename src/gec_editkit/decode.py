@@ -31,8 +31,11 @@ from .vocab import TagVocab
 # A decoding batch holds at most this many float64 elements per row array
 # (128 KiB), and at least one sentence: about 120 short desk sentences at a
 # 19-tag vocab, one at 5000 tags.  Larger batches decode no faster, but the
-# averaging ensemble's temporaries (several copies of every member's rows)
-# grow with them: 2**16 raised the desk benchmark's peak RSS by a fifth.
+# averaging ensemble's temporaries grow with them: its sorting network holds
+# a sorted copy of every member's rows, two more arrays while it swaps a
+# pair, and the running sum of deviations.  With the earlier sort-based mean,
+# whose stack of member rows cost about as much, 2**16 raised the desk
+# benchmark's peak RSS by a fifth.
 BATCH_ELEMENTS = 2**14
 
 

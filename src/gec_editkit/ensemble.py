@@ -9,6 +9,7 @@ is applied when at least ``n_min`` members propose the identical
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -29,8 +30,13 @@ def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
     tolerates mixed vocabularies) and split their rows into the same
     sentences.  Each element is averaged as min + sum(sorted deviations)/k,
     which makes the result independent of member order and reproduces a
-    k-copy ensemble's distribution exactly.  The mean of stacked sentences
-    is, sentence by sentence, the mean of their distributions.
+    k-copy ensemble's distribution exactly.  The members' values are sorted
+    element by element with an odd-even transposition network (k rounds of
+    elementwise np.minimum/np.maximum over neighbouring members), the
+    smallest is subtracted from the rest, and those deviations are summed in
+    ascending order.  Every element is averaged on its own, so the mean of
+    stacked sentences is, sentence by sentence, the mean of their
+    distributions.
     """
     if not dists:
         raise ContractError("need at least one distribution")
@@ -48,11 +54,22 @@ def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
 
 
 def _orderless_mean(arrays: list[np.ndarray]) -> np.ndarray:
-    stack = np.stack(arrays)
-    base = stack.min(axis=0)
-    stack -= base
-    stack.sort(axis=0)
-    return base + stack.sum(axis=0) / len(arrays)
+    k = len(arrays)
+    ranked = list(arrays)
+    for step in range(k):
+        for i in range(step % 2, k - 1, 2):
+            lo, hi = ranked[i], ranked[i + 1]
+            ranked[i], ranked[i + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
+    base = ranked[0]
+    total = base - base  # the smallest deviation: 0
+    # For k > 1 the network replaced every entry with a new array, so the
+    # deviations may overwrite them.
+    for value in ranked[1:]:
+        value -= base
+        total += value
+    total /= k
+    total += base
+    return total
 
 
 @dataclass(frozen=True)
@@ -69,10 +86,16 @@ class VoteTally:
 
 
 def tally_votes(source: Sequence[str], model_outputs: Sequence[Sequence[str]]) -> VoteTally:
+    """Each member's edits, one vote per member.
+
+    Members with the same output are aligned once, in the order of their
+    first appearance, so ``votes`` lists edits in the order a per-member
+    loop would first meet them.
+    """
     votes: dict[EditSpan, int] = {}
-    for output in model_outputs:
+    for output, members in Counter(map(tuple, model_outputs)).items():
         for edit in extract_edits(source, output):
-            votes[edit] = votes.get(edit, 0) + 1
+            votes[edit] = votes.get(edit, 0) + members
     return VoteTally(votes)
 
 

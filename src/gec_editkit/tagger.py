@@ -9,6 +9,7 @@ pipeline, ensembling included, can be exercised end to end at desk scale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import Iterable, Protocol, Sequence
@@ -224,18 +225,22 @@ def train_baselines(
     Tags come from running the encoder to convergence on each pair (so the
     models also see the intermediate sentences they will encounter during
     iterative decoding); tags outside ``vocab`` count as UNKNOWN.  Each pair
-    is encoded once and each pass is added to every model's counts as it is
-    produced, so several models cost one encoding and no passes are kept.
+    is encoded once and each pass is added to every model's tally of
+    ``(context, tag index)`` as it is produced, so several models cost one
+    encoding and no passes are kept.  The nested counts are built from the
+    tallies at the end, contexts and their tags in the order first seen.
     """
     models = [BaselineTagger(vocab, context_width, smoothing, {}) for context_width, smoothing in shapes]
+    tallies: list[Counter[tuple[tuple[str, ...], int]]] = [Counter() for _ in models]
     for source, target in pairs:
         for cur, tags in encode_passes(source, target, lexicon):
-            indices = [vocab.index_of(tag) for tag in tags]
-            for model in models:
-                counts = model.counts
-                for key, idx in zip(_context_keys(cur, model.context_width), indices):
-                    slot = counts.setdefault(key, {})
-                    slot[idx] = slot.get(idx, 0) + 1
+            indices = list(map(vocab.index_of, tags))
+            for model, tally in zip(models, tallies):
+                tally.update(zip(_context_keys(cur, model.context_width), indices))
+    for model, tally in zip(models, tallies):
+        counts = model.counts
+        for (key, idx), n in tally.items():
+            counts.setdefault(key, {})[idx] = n
     return models
 
 

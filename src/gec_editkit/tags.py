@@ -9,7 +9,6 @@ files and debug dumps contain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import TagParseError
@@ -48,37 +47,70 @@ def is_form_key(text: object) -> bool:
     return is_token(text) and "_" not in text
 
 
-@dataclass(frozen=True, slots=True)
+def _check(kind: TagKind, payload: object) -> None:
+    if kind in _PAYLOAD_FREE:
+        if payload is not None:
+            raise ValueError(f"{kind.value} tag takes no payload, got {payload!r}")
+    elif kind in (TagKind.APPEND, TagKind.REPLACE):
+        if not is_token(payload):
+            raise ValueError(f"{kind.value} payload must be a non-empty whitespace-free token, got {payload!r}")
+    elif kind is TagKind.TRANSFORM_CASE:
+        if payload not in CASE_VARIANTS:
+            raise ValueError(f"case variant must be one of {CASE_VARIANTS}, got {payload!r}")
+    elif kind is TagKind.TRANSFORM_AGREEMENT:
+        if payload not in AGREEMENT_DIRECTIONS:
+            raise ValueError(f"agreement direction must be one of {AGREEMENT_DIRECTIONS}, got {payload!r}")
+    elif kind is TagKind.TRANSFORM_VERB:  # two form keys joined by "_", such as VB_VBZ
+        keys = payload.split("_") if isinstance(payload, str) else ()
+        if len(keys) != 2 or not all(map(is_form_key, keys)):
+            raise ValueError(f"verb payload must be a FROM_TO form-pair key of two non-empty parts, got {payload!r}")
+    else:  # pragma: no cover - enum is closed
+        raise ValueError(f"unhandled tag kind {kind!r}")
+
+
+# Every tag made so far, by kind, then payload.  It holds one entry per
+# distinct tag the process has met, which the distinct tokens of its corpora
+# bound.
+_INTERNED: dict[TagKind, dict[str | None, "Tag"]] = {kind: {} for kind in TagKind}
+
+
 class Tag:
     """One edit operation.
 
     ``payload`` holds the appended/replacement token, the case variant, the
     agreement direction, or the verb form-pair key, depending on ``kind``.
+
+    Tags are interned: ``Tag(kind, payload)`` checks a kind and payload the
+    first time it meets them and returns that same object ever after, so
+    equal tags are one object, and equality and hashing are identity, done
+    in C.  A tag is immutable, and copying or unpickling it gives it back.
     """
 
+    __slots__ = ("kind", "payload")
     kind: TagKind
-    payload: str | None = None
+    payload: str | None
 
-    def __post_init__(self) -> None:
-        kind, payload = self.kind, self.payload
-        if kind in _PAYLOAD_FREE:
-            if payload is not None:
-                raise ValueError(f"{kind.value} tag takes no payload, got {payload!r}")
-        elif kind in (TagKind.APPEND, TagKind.REPLACE):
-            if not is_token(payload):
-                raise ValueError(f"{kind.value} payload must be a non-empty whitespace-free token, got {payload!r}")
-        elif kind is TagKind.TRANSFORM_CASE:
-            if payload not in CASE_VARIANTS:
-                raise ValueError(f"case variant must be one of {CASE_VARIANTS}, got {payload!r}")
-        elif kind is TagKind.TRANSFORM_AGREEMENT:
-            if payload not in AGREEMENT_DIRECTIONS:
-                raise ValueError(f"agreement direction must be one of {AGREEMENT_DIRECTIONS}, got {payload!r}")
-        elif kind is TagKind.TRANSFORM_VERB:  # two form keys joined by "_", such as VB_VBZ
-            keys = payload.split("_") if isinstance(payload, str) else ()
-            if len(keys) != 2 or not all(map(is_form_key, keys)):
-                raise ValueError(f"verb payload must be a FROM_TO form-pair key of two non-empty parts, got {payload!r}")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled tag kind {kind!r}")
+    def __new__(cls, kind: TagKind, payload: str | None = None) -> "Tag":
+        try:
+            return _INTERNED[kind][payload]
+        except (KeyError, TypeError):  # new, or a kind or payload _check refuses
+            _check(kind, payload)
+        tag = object.__new__(cls)
+        object.__setattr__(tag, "kind", kind)
+        object.__setattr__(tag, "payload", payload)
+        return _INTERNED[kind].setdefault(payload, tag)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: tags are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: tags are immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[TagKind, str | None]]:
+        return Tag, (self.kind, self.payload)
+
+    def __repr__(self) -> str:
+        return f"Tag(kind={self.kind!r}, payload={self.payload!r})"
 
     @property
     def is_keep(self) -> bool:
@@ -166,5 +198,4 @@ class TagSeq(tuple):
 
     @property
     def all_keep(self) -> bool:
-        # count compares with ==, so a KEEP tag other than the KEEP object counts too.
         return self.count(KEEP) == len(self)

@@ -118,7 +118,16 @@ def write_vocab_file(path: str | Path, vocab: TagVocab) -> None:
 
 
 def read_vocab_file(path: str | Path) -> TagVocab:
+    """Read a vocab file, refusing a first tag other than $KEEP or a repeated tag at its line."""
     with read_lines(path) as lines:
         if next(lines, None) != VOCAB_FILE_HEADER:
             raise FormatError(f"missing vocab header {VOCAB_FILE_HEADER!r}")
-        return TagVocab(tuple(parse_tag(line) for line in lines))
+        first_line: dict[Tag, int] = {}
+        for line in lines:
+            tag = parse_tag(line)
+            if not first_line and tag is not KEEP:
+                raise FormatError(f"vocab must start with $KEEP, got {line}")
+            seen = first_line.setdefault(tag, lines.lineno)
+            if seen != lines.lineno:
+                raise FormatError(f"duplicate tag {line}, first at line {seen}")
+        return TagVocab(tuple(first_line))

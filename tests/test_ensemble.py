@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_editkit import (
     ContractError,
@@ -19,7 +21,10 @@ from gec_editkit import (
     train_baseline,
     vote_correct,
 )
+from gec_editkit import ensemble
+from gec_editkit.ensemble import _orderless_mean
 
+from average_oracle import orderless_mean
 from gen import mutate, random_distribution, random_tokens, random_vocab
 
 
@@ -91,6 +96,78 @@ def test_average_mismatch_names_offender(vocab):
     split = TagDistribution(vocab.sha256, good.rows, good.error_probs, [0, 1])
     with pytest.raises(ContractError, match="member 1"):
         average_distributions([good, split])
+
+
+# Ties come from drawing every element from a small pool; +0.0 only, as
+# signed zeros compare equal and neither mean promises which one it returns.
+POOLS = st.lists(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-17, 1e-8, 0.1, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0).map(abs),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    shape=st.tuples(st.integers(1, 40)) | st.tuples(st.integers(1, 4), st.integers(1, 5000)),
+    pool=POOLS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_orderless_mean_equals_the_sort_based_oracle_bit_for_bit(k, shape, pool, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.choice(np.array(pool), size=shape) for _ in range(k)]
+    for array in arrays:
+        array.flags.writeable = False  # as in a TagDistribution: the mean must not write its inputs
+    got = _orderless_mean(arrays)
+    if got.size == 1 and k >= 8:
+        # The oracle sums a one-element stack pairwise (see average_oracle);
+        # its value for that element in any larger array is the exact one.
+        want = orderless_mean([np.repeat(a, 2) for a in arrays])[:1].reshape(shape)
+    else:
+        want = orderless_mean(arrays)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mean_of_a_sentence_does_not_depend_on_its_batch(vocab):
+    # Eight members' error probabilities for an empty sentence; added
+    # pairwise, their deviations give another float than added in order.
+    probs = [0.2, 0.3, 0.3, 0.3, 0.5, 0.6, 0.6, 0.6]
+    keep = np.zeros((1, len(vocab)))
+    keep[0, vocab.keep_index] = 1.0
+    empty = [TagDistribution(vocab.sha256, keep, [p]) for p in probs]
+    other = TagDistribution(vocab.sha256, np.vstack([keep, keep]), [0.1, 0.2])
+    alone = average_distributions(empty)
+    stacked = average_distributions([TagDistribution.stack([d, other]) for d in empty])
+    assert alone.error_probs.tolist() == stacked.error_probs[:1].tolist() == [0.42499999999999993]
+    assert np.array_equal(alone.rows, stacked.rows[:1])
+
+
+def test_tally_of_repeated_outputs_aligns_each_once(monkeypatch):
+    rng = random.Random(12)
+    aligned = []
+    real = ensemble.extract_edits
+
+    def counting(source, output):
+        aligned.append(tuple(output))
+        return real(source, output)
+
+    for _ in range(60):
+        source = random_tokens(rng, max_len=10)
+        distinct = [mutate(rng, source, 0.4) for _ in range(rng.randint(1, 4))]
+        # the same output as a list and as a tuple is one member output
+        outputs = [rng.choice([list, tuple])(rng.choice(distinct)) for _ in range(rng.randint(1, 8))]
+        votes: dict[EditSpan, int] = {}
+        for output in outputs:
+            for edit in extract_edits(source, output):
+                votes[edit] = votes.get(edit, 0) + 1
+        aligned.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ensemble, "extract_edits", counting)
+            tally = tally_votes(source, outputs)
+        assert list(tally.votes.items()) == list(votes.items())
+        assert aligned == list(dict.fromkeys(map(tuple, outputs)))
 
 
 def test_tally_and_majority_vote_by_hand():

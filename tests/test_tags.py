@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -101,9 +103,57 @@ def test_equal_tags_hash_equal():
     assert all(hash(kind) == hash(TagKind(kind.value)) for kind in TagKind)
 
 
-def test_all_keep_counts_keep_tags_that_are_not_the_keep_object():
+def test_a_fresh_keep_tag_is_the_keep_object():
     fresh = [Tag(TagKind.KEEP) for _ in range(3)]
-    assert all(tag is not KEEP for tag in fresh)
+    assert all(tag is KEEP for tag in fresh)
     assert TagSeq(fresh).all_keep
     assert TagSeq([KEEP, *fresh]).all_keep
     assert not TagSeq([*fresh, Tag(TagKind.DELETE)]).all_keep
+
+
+def test_tags_are_interned():
+    rng = random.Random(20261020)
+    for _ in range(500):
+        tag = random_tag(rng)
+        made = Tag(tag.kind, tag.payload)
+        assert made is tag
+        assert parse_tag(format_tag(made)) is made
+        assert copy.copy(made) is made
+        assert copy.deepcopy(made) is made
+        assert copy.deepcopy([made, made]) == [made, made]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(made, protocol)) is made
+
+
+def test_tags_are_immutable():
+    tag = append("the")
+    with pytest.raises(AttributeError):
+        tag.payload = "a"
+    with pytest.raises(AttributeError):
+        tag.kind = TagKind.REPLACE
+    with pytest.raises(AttributeError):
+        del tag.payload
+    assert (tag.kind, tag.payload) == (TagKind.APPEND, "the")
+    assert repr(tag) == "Tag(kind=<TagKind.APPEND: 'APPEND'>, payload='the')"
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        (TagKind.KEEP, "x", "KEEP tag takes no payload, got 'x'"),
+        (TagKind.DELETE, ["x"], "DELETE tag takes no payload, got ['x']"),
+        (TagKind.APPEND, "two words", "APPEND payload must be a non-empty whitespace-free token, got 'two words'"),
+        (TagKind.REPLACE, ["x"], "REPLACE payload must be a non-empty whitespace-free token, got ['x']"),
+        (TagKind.APPEND, None, "APPEND payload must be a non-empty whitespace-free token, got None"),
+        (TagKind.TRANSFORM_CASE, "TITLE", "case variant must be one of ('CAPITAL', 'LOWER', 'UPPER'), got 'TITLE'"),
+        (TagKind.TRANSFORM_CASE, {"CAPITAL": 1}, "case variant must be one of ('CAPITAL', 'LOWER', 'UPPER'), got {'CAPITAL': 1}"),
+        (TagKind.TRANSFORM_AGREEMENT, ["PLURAL"], "agreement direction must be one of ('SINGULAR', 'PLURAL'), got ['PLURAL']"),
+        (TagKind.TRANSFORM_VERB, "VB", "verb payload must be a FROM_TO form-pair key of two non-empty parts, got 'VB'"),
+        (TagKind.TRANSFORM_VERB, ["VB_VBZ"], "verb payload must be a FROM_TO form-pair key of two non-empty parts, got ['VB_VBZ']"),
+    ],
+)
+def test_bad_and_unhashable_payloads_are_refused_every_time(kind, payload, message):
+    for _ in range(2):  # a refused payload is not interned
+        with pytest.raises(ValueError) as exc:
+            Tag(kind, payload)
+        assert str(exc.value) == message

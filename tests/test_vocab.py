@@ -127,8 +127,22 @@ def test_vocab_file_errors(tmp_path):
         read_vocab_file(path)
     assert exc.value.line == 3
     path.write_text("gec-editkit/vocab-v1\n$DELETE\n$KEEP\n$UNKNOWN\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         read_vocab_file(path)
+    assert str(exc.value) == f"{path}:2: vocab must start with $KEEP, got $DELETE"
+
+
+def test_vocab_file_refuses_a_repeated_tag_at_its_line(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("gec-editkit/vocab-v1\n$KEEP\n$DELETE\n$APPEND_the\n$UNKNOWN\n$APPEND_the\n$KEEP\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_vocab_file(path)
+    assert exc.value.line == 6
+    assert str(exc.value) == f"{path}:6: duplicate tag $APPEND_the, first at line 4"
+    path.write_text("gec-editkit/vocab-v1\n$KEEP\n$DELETE\n$UNKNOWN\n$KEEP\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_vocab_file(path)
+    assert str(exc.value) == f"{path}:5: duplicate tag $KEEP, first at line 2"
 
 
 def test_vocab_file_tag_check_lets_bugs_raise(tmp_path, monkeypatch):
