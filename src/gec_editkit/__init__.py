@@ -9,7 +9,7 @@ files of tag probabilities, and a count-based baseline tagger makes the
 whole system runnable end to end at desk scale.
 """
 
-from .align import alignment_backend, encode_tags, extract_edits
+from .align import alignment_backend, encode_tags, extract_edits, extract_edits_batch
 from .corpus import (
     M2Block,
     M2Edit,
@@ -32,6 +32,7 @@ from .ensemble import (
     majority_vote,
     tally_votes,
     vote_correct,
+    vote_correct_batch,
 )
 from .errors import (
     ContractError,
@@ -96,6 +97,7 @@ __all__ = [
     "distill",
     "encode_tags",
     "extract_edits",
+    "extract_edits_batch",
     "f_beta",
     "filter_edit_free",
     "format_tag",
@@ -117,6 +119,7 @@ __all__ = [
     "tune_hyperparams",
     "validate_tokens",
     "vote_correct",
+    "vote_correct_batch",
     "write_m2",
     "write_matrix_file",
     "write_sentences",

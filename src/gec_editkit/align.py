@@ -19,7 +19,8 @@ backtrace reaches it last, after choices that may have used its tokens.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections import Counter
+from typing import Iterable, Iterator, Sequence
 
 from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
@@ -34,6 +35,10 @@ try:
 except ImportError:
     _kernel = _levenshtein
     _BACKEND = "python"
+
+
+_DELETE = bytes([OP_DELETE])
+_INSERT = bytes([OP_INSERT])
 
 
 def alignment_backend() -> str:
@@ -63,11 +68,17 @@ def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, 
     ops; trailing MATCHes open no run.  Trimming the common prefix as well
     would not be exact: ``("a", "x")`` to ``("a", "a", "y")`` aligns as
     [0, 0) -> a, [1, 2) -> y, but with the prefix cut off as [1, 2) -> a y.
+    When the trim leaves one side empty (identical sentences, or one the
+    other's suffix), the only alignment is all DELETEs or all INSERTs, and
+    the kernel is not called.
     """
     n, m = len(source), len(target)
     while n and m and source[n - 1] == target[m - 1]:
         n -= 1
         m -= 1
+    if not (n and m):
+        # One side is empty: n DELETEs or m INSERTs is the only alignment.
+        return [(0, n, 0, m, _DELETE * n + _INSERT * m)] if n or m else []
     codes = _kernel.backtrace_ops(*_intern(source[:n], target[:m]))
     runs: list[tuple[int, int, int, int, bytes]] = []
     i = j = src_start = tgt_start = 0
@@ -103,6 +114,26 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan
         EditSpan(src_start, src_end, tgt[tgt_start:tgt_end])
         for src_start, src_end, tgt_start, tgt_end, _ in _runs(source, tgt)
     ]
+
+
+def extract_edits_batch(
+    sources: Sequence[Sequence[str]],
+    targets: Sequence[Sequence[str]],
+    known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] | None = None,
+) -> list[list[EditSpan]]:
+    """extract_edits of each source against the target at its position.
+
+    Each distinct ``(source, target)`` pair is aligned once, and positions
+    that repeat it share its edit list.  ``known`` maps pairs to edits
+    already extracted and gets the new ones, so a caller that scores many
+    corrections of one corpus (tune's trials) aligns no pair twice.
+    """
+    known = {} if known is None else known
+    pairs = [(tuple(source), tuple(target)) for source, target in zip(sources, targets)]
+    for pair in pairs:
+        if pair not in known:
+            known[pair] = extract_edits(*pair)
+    return [known[pair] for pair in pairs]
 
 
 def encode_tags(
@@ -179,3 +210,23 @@ def encode_passes(
             return
         cur = apply_tags(cur, tags, lexicon)
     raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")  # pragma: no cover
+
+
+def count_passes(
+    pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
+    lexicon: VerbLexicon | None = None,
+) -> dict[tuple[TokenSeq, TagSeq], int]:
+    """Every distinct ``(sentence, tags)`` pass of encode_passes over ``pairs``, with its count.
+
+    Each distinct pair is encoded once and its passes count once per copy of
+    the pair; a pass that several pairs share (every pair with the same
+    target ends on the same all-KEEP pass) is one key.  Keys are in the
+    order the passes first appear in the stream of all pairs' passes, so
+    anything tallied over them in key order first meets its items in the
+    order that stream would.
+    """
+    passes: dict[tuple[TokenSeq, TagSeq], int] = {}
+    for (source, target), copies in Counter((tuple(s), tuple(t)) for s, t in pairs).items():
+        for one in encode_passes(source, target, lexicon):
+            passes[one] = passes.get(one, 0) + copies
+    return passes

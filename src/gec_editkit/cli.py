@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .align import encode_tags, extract_edits
+from .align import encode_tags, extract_edits_batch
 from .corpus import (
     filter_edit_free,
     read_lines,
@@ -33,7 +33,7 @@ from .corpus import (
 # perfbench's tracer tests wrap and restore it here.
 from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch  # noqa: F401
 from .distill import distill
-from .ensemble import average_correct_batch, vote_correct
+from .ensemble import average_correct_batch, vote_correct_batch
 from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
@@ -186,7 +186,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         for path, outputs in zip(args.member, member_outputs):
             if len(outputs) != len(sources):
                 raise InputError(f"{path} has {len(outputs)} sentences, {args.source} has {len(sources)}")
-        corrected = [vote_correct(src, row, n_min) for src, row in zip(sources, zip(*member_outputs))]
+        corrected = vote_correct_batch(sources, member_outputs, n_min)
     else:
         hp = _hp(args)
         if not args.vocab:
@@ -205,7 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     hyps = read_sentences(args.hyp)
     if len(hyps) != len(blocks):
         raise InputError(f"{args.hyp} has {len(hyps)} sentences, {args.gold} has {len(blocks)} blocks")
-    hyp_edits = [extract_edits(block.source, hyp) for block, hyp in zip(blocks, hyps)]
+    hyp_edits = extract_edits_batch([block.source for block in blocks], hyps)
     report = score_corpus(hyp_edits, [block.gold_edit_lists() for block in blocks])
     print(report.summary())
     return 0
@@ -243,7 +243,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
         if args.mode == "average":
             return average_correct_batch(taggers, sources, hp, lexicon)
         member_outputs = [[r.output for r in run_pipeline_batch(tagger, sources, hp, lexicon)] for tagger in taggers]
-        return [vote_correct(source, row, n_min) for source, row in zip(sources, zip(*member_outputs))]
+        return vote_correct_batch(sources, member_outputs, n_min)
 
     pairs, stats = distill(correct, read_sentences(args.input), args.limit)
     write_tsv_corpus(args.output, pairs)

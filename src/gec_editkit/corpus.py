@@ -280,6 +280,8 @@ def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
     if not 0 <= start <= end <= source_len:
         raise FormatError(f"span [{start}, {end}) outside source of length {source_len}")
     replacement = () if replacement_field == _NONE_FIELD else _split_tokens(replacement_field)
+    if _NONE_FIELD in replacement:
+        raise FormatError(f"{_NONE_FIELD} marks a deletion on its own, not a token of {replacement_field!r}")
     return annotator, M2Edit(EditSpan(start, end, replacement), edit_type)
 
 

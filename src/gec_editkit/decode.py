@@ -106,16 +106,21 @@ def decode_iteratively(
 ) -> list[CorrectionResult]:
     """Predict, select, apply, repeat: the one decoding loop, one result per sentence.
 
-    Sentences go in chunks of at most BATCH_ELEMENTS / len(vocab) rows as
-    given (appends can lengthen them a little on later passes).  Each pass
-    predicts every sentence of the chunk still active in one call, selects
-    their tags in one step and applies them sentence by sentence.  A sentence
-    leaves the active set as soon as a pass selects KEEP everywhere, else
-    after ``hp.max_iters`` passes.  ``predict_batch`` maps sentences to
-    their stacked distributions over ``vocab``: one tagger's, or an
-    ensemble's average.
+    Decoding is a pure function of the sentence, so each distinct sentence
+    is decoded once, in the order of its first appearance, and its result
+    is given to every position that holds it.  The distinct sentences go in
+    chunks of at most BATCH_ELEMENTS / len(vocab) rows as given (appends can
+    lengthen them a little on later passes).  Each pass predicts every
+    sentence of the chunk still active in one call, selects their tags in
+    one step and applies them sentence by sentence.  A sentence leaves the
+    active set as soon as a pass selects KEEP everywhere, else after
+    ``hp.max_iters`` passes.  ``predict_batch`` maps sentences to their
+    stacked distributions over ``vocab``: one tagger's, or an ensemble's
+    average.
     """
-    cur = [tuple(tokens) for tokens in sentences]
+    given = [tuple(tokens) for tokens in sentences]
+    distinct = list(dict.fromkeys(given))
+    cur = list(distinct)
     history: list[list[TagSeq]] = [[] for _ in cur]
     for active in _chunks(cur, max(1, BATCH_ELEMENTS // len(vocab))):
         for _ in range(hp.max_iters):
@@ -130,7 +135,11 @@ def decode_iteratively(
             if not still:
                 break
             active = still
-    return [CorrectionResult(out, len(tags), tuple(tags)) for out, tags in zip(cur, history)]
+    results = {
+        tokens: CorrectionResult(out, len(tags), tuple(tags))
+        for tokens, out, tags in zip(distinct, cur, history)
+    }
+    return [results[tokens] for tokens in given]
 
 
 def _chunks(sentences: list[TokenSeq], max_rows: int) -> Iterator[list[int]]:

@@ -169,3 +169,27 @@ def vote_correct(
     """Apply the quorum's surviving edits to the source in one shot."""
     return apply_edits(source, majority_vote(source, model_outputs, n_min))
 
+
+def vote_correct_batch(
+    sources: Sequence[Sequence[str]],
+    member_outputs: Sequence[Sequence[Sequence[str]]],
+    n_min: int,
+) -> list[TokenSeq]:
+    """vote_correct of every source against its members' outputs: one sentence per source.
+
+    ``member_outputs`` holds one output list per member, each as long as
+    ``sources``.  Voting is a pure function of a source and its members'
+    outputs, so each distinct row is voted once and its result given to
+    every position that holds it.
+    """
+    if not member_outputs:
+        raise ContractError("need at least one member")
+    for i, outputs in enumerate(member_outputs):
+        if len(outputs) != len(sources):
+            raise ContractError(f"member {i} has {len(outputs)} outputs for {len(sources)} sources")
+    rows = [
+        (tuple(source), tuple(map(tuple, outputs)))
+        for source, outputs in zip(sources, zip(*member_outputs))
+    ]
+    voted = {row: vote_correct(*row, n_min) for row in dict.fromkeys(rows)}
+    return [voted[row] for row in rows]

@@ -16,7 +16,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .align import encode_passes
+from .align import count_passes
 from .errors import ContractError
 from .spans import TokenSeq
 from .transforms import VerbLexicon
@@ -224,19 +224,21 @@ def train_baselines(
 
     Tags come from running the encoder to convergence on each pair (so the
     models also see the intermediate sentences they will encounter during
-    iterative decoding); tags outside ``vocab`` count as UNKNOWN.  Each pair
-    is encoded once and each pass is added to every model's tally of
-    ``(context, tag index)`` as it is produced, so several models cost one
-    encoding and no passes are kept.  The nested counts are built from the
-    tallies at the end, contexts and their tags in the order first seen.
+    iterative decoding); tags outside ``vocab`` count as UNKNOWN.  The passes
+    come from align.count_passes: each distinct pair is encoded once for all
+    models, and each distinct ``(sentence, tags)`` pass is added to every
+    model's tally of ``(context, tag index)`` once, times its count.  The
+    distinct passes are held in memory until they are tallied, so memory
+    grows with the corpus's distinct passes, not with its length.  The nested
+    counts are built from the tallies at the end, contexts and their tags in
+    the order a pair-by-pair, pass-by-pass loop would first see them.
     """
     models = [BaselineTagger(vocab, context_width, smoothing, {}) for context_width, smoothing in shapes]
     tallies: list[Counter[tuple[tuple[str, ...], int]]] = [Counter() for _ in models]
-    for source, target in pairs:
-        for cur, tags in encode_passes(source, target, lexicon):
-            indices = list(map(vocab.index_of, tags))
-            for model, tally in zip(models, tallies):
-                tally.update(zip(_context_keys(cur, model.context_width), indices))
+    for (cur, tags), copies in count_passes(pairs, lexicon).items():
+        indices = list(map(vocab.index_of, tags))
+        for model, tally in zip(models, tallies):
+            tally.update(list(zip(_context_keys(cur, model.context_width), indices)) * copies)
     for model, tally in zip(models, tallies):
         counts = model.counts
         for (key, idx), n in tally.items():

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .align import extract_edits
+from .align import extract_edits_batch
 from .decode import Hyperparams
 from .errors import ContractError
 from .score import ScoreReport, score_corpus
@@ -63,12 +63,14 @@ def tune_hyperparams(
 
     evaluated: list[TuneTrial] = []
     best: TuneTrial | None = None
+    # Trials mostly give the same corrections, so each distinct
+    # (source, output) pair is aligned once for all of them.
+    known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] = {}
     for ac, mep in candidates:
         outputs = correct_fn(sources, ac, mep)
         if len(outputs) != len(sources):
             raise ContractError(f"corrector gave {len(outputs)} outputs for {len(sources)} sources")
-        hyp_edits = [extract_edits(src, out) for src, out in zip(sources, outputs)]
-        report = score_corpus(hyp_edits, gold)
+        report = score_corpus(extract_edits_batch(sources, outputs, known), gold)
         trial = TuneTrial(ac, mep, report)
         evaluated.append(trial)
         if (

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .align import encode_passes
+from .align import count_passes
 from .corpus import read_lines, write_lines
 from .errors import ContractError, FormatError
 from .spans import TokenSeq
@@ -80,12 +80,12 @@ def count_edit_tags(
     """Tag frequencies over all encoding passes run to convergence per pair.
 
     Multi-pass counting makes appends that hide behind other edits (deep
-    insertions) show up in the counts.
+    insertions) show up in the counts.  Each distinct pass is counted once,
+    times its count (align.count_passes).
     """
     counts: Counter[Tag] = Counter()
-    for source, target in pairs:
-        for _, tags in encode_passes(source, target, lexicon):
-            counts.update(tags)
+    for (_, tags), copies in count_passes(pairs, lexicon).items():
+        counts.update(tags * copies)
     return counts
 
 

@@ -13,6 +13,7 @@ from gec_editkit import (
     build_vocab,
     encode_tags,
     extract_edits,
+    extract_edits_batch,
     format_tag,
     train_baseline,
 )
@@ -131,6 +132,30 @@ def test_extract_edits_disjoint_sorted_no_identity():
             assert e.replacement != src[e.start:e.end]
 
 
+def test_batch_extraction_aligns_each_distinct_pair_once(monkeypatch):
+    rng = random.Random(8)
+    pool = [random_pair(rng, max_len=10) for _ in range(5)]
+    pairs = [rng.choice(pool) for _ in range(30)]
+    sources = [list(s) if i % 3 else s for i, (s, _) in enumerate(pairs)]
+    targets = [t for _, t in pairs]
+    expected = [extract_edits(s, t) for s, t in pairs]
+    aligned = []
+    real = align.extract_edits
+
+    def counting(source, target):
+        aligned.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(align, "extract_edits", counting)
+    known = {}
+    assert extract_edits_batch(sources, targets, known) == expected
+    assert aligned == list(dict.fromkeys(pairs))
+    # a second call with the same known pairs aligns none of them again
+    assert extract_edits_batch(targets[:3], sources[:3], known) == [real(t, s) for s, t in pairs[:3]]
+    assert extract_edits_batch(sources, targets, known) == expected
+    assert len(aligned) == len(set(pairs) | {(t, s) for s, t in pairs[:3]})
+
+
 def untrimmed_oracle_runs(source, target):
     """_runs read off the oracle's op stream for the whole pair, suffix included."""
     codes = levenshtein_oracle.backtrace_ops(*_intern(source, target))
@@ -168,6 +193,32 @@ def test_trimming_the_common_suffix_changes_no_alignment(kernel, pair):
         expected = (untrimmed_oracle_runs(source, target), extract_edits(source, target), encode_tags(source, target))
     with mock.patch.object(align, "_kernel", kernel):
         assert (_runs(source, target), extract_edits(source, target), encode_tags(source, target)) == expected
+
+
+@st.composite
+def pairs_one_a_suffix_of_the_other(draw):
+    """A 0-40-token sequence over 1-3 words and it with 0-40 tokens put in front, either way round."""
+    words = st.sampled_from("abc"[: draw(st.integers(1, 3))])
+    part = st.lists(words, max_size=40).map(tuple)
+    short = draw(part)
+    pair = (draw(part) + short, short)
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=pairs_one_a_suffix_of_the_other())
+def test_an_empty_side_after_the_trim_needs_no_kernel(kernel, pair):
+    source, target = pair
+    expected = untrimmed_oracle_runs(source, target)
+    calls = []
+
+    def counting(*ids):
+        calls.append(ids)
+        return kernel.backtrace_ops(*ids)
+
+    with mock.patch.object(align, "_kernel", mock.Mock(backtrace_ops=counting)):
+        assert _runs(source, target) == expected
+    assert calls == []
 
 
 def test_the_common_prefix_is_aligned_not_trimmed():

@@ -28,6 +28,7 @@ from gec_editkit import (
 )
 from gec_editkit import decode
 from gec_editkit.decode import _chunks
+from gec_editkit.tagger import predict_stack
 from gec_editkit.tags import DELETE, KEEP, TagSeq
 
 from deskdata import make_corpus
@@ -116,6 +117,47 @@ def test_batched_decoding_equals_one_sentence_at_a_time(k, sentences, members, h
         mp.setattr(decode, "BATCH_ELEMENTS", chunk_budget(k, sentences))
         assert run_pipeline_batch(member, sentences, hp) == expected_one
         assert average_correct_batch(members, sentences, hp) == expected_avg
+
+
+@st.composite
+def sentences_with_repeats(draw):
+    """1-30 sentences drawn by index from a pool of 1-6, so most repeat."""
+    pool = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=8).map(tuple), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return [pool[i] for i in picks]
+
+
+class CountingTagger:
+    """Wraps a tagger, batched or not, and counts the sentences it is asked to predict."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.predicted = 0
+
+    def predict_batch(self, sentences):
+        self.predicted += len(sentences)
+        return predict_stack(self.inner, sentences)
+
+
+@pytest.mark.parametrize("k", [1, 7, 512])
+@settings(max_examples=40, deadline=None)
+@given(sentences=sentences_with_repeats(), members=members_st, hp=hp_st)
+def test_repeated_sentences_decode_once_as_they_would_alone(k, sentences, members, hp):
+    member = CountingTagger(members[0])
+
+    def averaged(tokens):
+        return average_distributions([m.predict(tokens) for m in members])
+
+    expected_one = [reference_decode(member.inner.predict, s, hp) for s in sentences]
+    expected_avg = [reference_decode(averaged, s, hp).output for s in sentences]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode, "BATCH_ELEMENTS", chunk_budget(k, sentences))
+        assert run_pipeline_batch(member, sentences, hp) == expected_one
+        assert average_correct_batch(members, sentences, hp) == expected_avg
+    # one prediction per pass of each distinct sentence
+    once = dict(zip(sentences, expected_one))
+    assert member.predicted == sum(result.iterations_used for result in once.values())
 
 
 @pytest.mark.parametrize("k", [1, 7, 512, None])

@@ -172,6 +172,8 @@ def test_m2_object_round_trip(tmp_path):
          "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0", "mixes noop"),
         ("S a b\nwhat is this", "unrecognized"),
         ("S a b\nA 1 2|||noop|||y|||REQUIRED|||-NONE-|||0", "noop"),
+        ("S a b\nA 1 2|||R:X|||x -NONE-|||REQUIRED|||-NONE-|||0", "-NONE- marks a deletion on its own"),
+        ("S a b\nA 0 1|||R:X|||-NONE- x|||REQUIRED|||-NONE-|||0", "-NONE- marks a deletion on its own"),
     ],
 )
 def test_m2_malformed_lines_are_positioned_errors(tmp_path, line, needle):

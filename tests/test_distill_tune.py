@@ -4,10 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gec_editkit import ContractError, EditKitError, EditSpan, InputError, distill, extract_edits, tune_hyperparams
+from gec_editkit import (
+    ContractError,
+    EditKitError,
+    EditSpan,
+    InputError,
+    align,
+    average_correct,
+    average_correct_batch,
+    build_vocab,
+    distill,
+    extract_edits,
+    run_pipeline,
+    run_pipeline_batch,
+    score_corpus,
+    train_baselines,
+    tune_hyperparams,
+    vote_correct,
+    vote_correct_batch,
+)
 from gec_editkit.decode import Hyperparams
 from gec_editkit.distill import DistillStats
 
+from deskdata import make_corpus
 from gen import random_tokens
 
 
@@ -175,6 +194,37 @@ def test_distill_matches_the_one_sentence_loop(kinds, limit):
     assert distill(each(fix), iter(sentences), limit) == _distill_one_by_one(fix, sentences, limit)
 
 
+DESK = make_corpus(120, seed=17)
+DESK_VOCAB = build_vocab(DESK, 100)
+TEACHERS = train_baselines(DESK, DESK_VOCAB, [(0, 1.0), (1, 1.0), (2, 0.5)])
+DESK_POOL = sorted({side for pair in DESK[:20] for side in pair})
+
+
+@pytest.mark.parametrize("mode", ["average", "vote"])
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.integers(0, len(DESK_POOL) - 1), max_size=40), limit=st.integers(1, 15))
+def test_distill_of_repeated_sentences_matches_the_one_sentence_loop(mode, picks, limit):
+    sentences = [DESK_POOL[i] for i in picks]
+    if mode == "average":
+        def correct(sources):
+            return average_correct_batch(TEACHERS, sources)
+
+        def fix(source):
+            return average_correct(TEACHERS, source)
+    else:
+        def correct(sources):
+            outputs = [[r.output for r in run_pipeline_batch(t, sources)] for t in TEACHERS]
+            return vote_correct_batch(sources, outputs, 2)
+
+        def fix(source):
+            return vote_correct(source, [run_pipeline(t, source).output for t in TEACHERS], 2)
+
+    pairs, stats = distill(correct, iter(sentences), limit)
+    expected_pairs, expected_stats = _distill_one_by_one(fix, sentences, limit)
+    assert pairs == expected_pairs
+    assert stats.summary() == expected_stats.summary()
+
+
 # --- tuning ---------------------------------------------------------------
 
 
@@ -246,6 +296,33 @@ def test_tune_respects_base_hyperparams():
     base = Hyperparams(max_iters=2)
     result = tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=2, seed=1, base=base)
     assert result.best.max_iters == 2
+
+
+def test_tune_aligns_each_distinct_correction_once(monkeypatch):
+    # Trials that correct alike share their alignments, and so do repeated
+    # sources within a trial; the report is the one per-sentence edits give.
+    sources = [("a", "b"), ("c",), ("a", "b"), ("d", "e", "f")]
+    gold = [[[EditSpan(2, 2, ("x",))]], [[]], [[EditSpan(0, 1, ("y",))]], [[]]]
+
+    def corrector(sources, ac, mep):
+        return [tokens + ("x",) if ac < 0.5 else tokens[:1] for tokens in sources]
+
+    expected, corrections = [], set()
+    for trial in run_tune(corrector, sources, gold, trials=12, seed=4).trials:
+        outputs = corrector(sources, trial.ac, trial.mep)
+        expected.append(score_corpus([extract_edits(s, o) for s, o in zip(sources, outputs)], gold))
+        corrections.update(zip(sources, outputs))
+    aligned = []
+    real = align.extract_edits
+
+    def counting(source, target):
+        aligned.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(align, "extract_edits", counting)
+    result = run_tune(corrector, sources, gold, trials=12, seed=4)
+    assert [trial.report for trial in result.trials] == expected
+    assert sorted(aligned) == sorted(corrections)
 
 
 def test_tune_contracts():

@@ -20,6 +20,7 @@ from gec_editkit import (
     tally_votes,
     train_baseline,
     vote_correct,
+    vote_correct_batch,
 )
 from gec_editkit import ensemble
 from gec_editkit.ensemble import _orderless_mean
@@ -168,6 +169,38 @@ def test_tally_of_repeated_outputs_aligns_each_once(monkeypatch):
             tally = tally_votes(source, outputs)
         assert list(tally.votes.items()) == list(votes.items())
         assert aligned == list(dict.fromkeys(map(tuple, outputs)))
+
+
+def test_batch_vote_votes_each_distinct_row_once(monkeypatch):
+    rng = random.Random(5)
+    pool = []
+    for _ in range(4):
+        source = random_tokens(rng, max_len=8)
+        pool.append((source, [mutate(rng, source, 0.4) for _ in range(3)]))
+    rows = [rng.choice(pool) for _ in range(25)]
+    # a row given as lists is the same row
+    sources = [list(source) if i % 2 else source for i, (source, _) in enumerate(rows)]
+    member_outputs = [[outputs[m] for _, outputs in rows] for m in range(3)]
+    expected = [vote_correct(source, outputs, 2) for source, outputs in rows]
+    voted = []
+    real = ensemble.vote_correct
+
+    def counting(source, outputs, n_min):
+        voted.append((source, outputs))
+        return real(source, outputs, n_min)
+
+    monkeypatch.setattr(ensemble, "vote_correct", counting)
+    assert vote_correct_batch(sources, member_outputs, 2) == expected
+    assert voted == list(dict.fromkeys((source, tuple(outputs)) for source, outputs in rows))
+
+
+def test_batch_vote_contracts():
+    with pytest.raises(ContractError, match="member 1 has 1 outputs for 2 sources"):
+        vote_correct_batch([("a",), ("b",)], [[("a",), ("b",)], [("a",)]], 1)
+    with pytest.raises(ContractError, match="at least one member"):
+        vote_correct_batch([("a",)], [], 1)
+    with pytest.raises(ContractError, match="n_min"):
+        vote_correct_batch([("a",)], [[("a",)]], 2)
 
 
 def test_tally_and_majority_vote_by_hand():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gec_editkit import (
     train_baselines,
     write_matrix_file,
 )
+from gec_editkit import align as align_module
 from gec_editkit import matrix_io
 from gec_editkit import tagger as tagger_module
 from gec_editkit.tagger import (
@@ -32,10 +34,11 @@ from gec_editkit.tagger import (
     keep_certain_distribution,
 )
 from gec_editkit.tags import replace
-from gec_editkit.vocab import MANDATORY_TAGS
+from gec_editkit.vocab import MANDATORY_TAGS, count_edit_tags
 
+import train_oracle
 from deskdata import make_corpus
-from gen import random_distribution, random_pair, random_vocab
+from gen import mutate, random_distribution, random_pair, random_vocab
 
 
 @pytest.fixture
@@ -176,6 +179,61 @@ def test_train_baselines_match_separate_trainings(with_lexicon, empty):
         assert model.counts == train_baseline(pairs, vocab, cw, sm, lexicon).counts
     assert bool(models[0].counts) != empty
     assert models[1].counts is not models[3].counts
+
+
+@st.composite
+def pair_lists_with_repeats(draw):
+    """0-30 pairs drawn by index from a pool of 1-6, some sharing a target, so pairs and passes repeat."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_pair(rng, max_len=8)]
+    for _ in range(draw(st.integers(0, 5))):
+        if rng.random() < 0.4:
+            target = rng.choice(pool)[1]
+            pool.append((mutate(rng, target, 0.5), target))
+        else:
+            pool.append(random_pair(rng, max_len=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return [pool[i] for i in picks]
+
+
+def nested_items(counts):
+    """Contexts and each context's tags in dict order, with their counts."""
+    return [(key, list(tags.items())) for key, tags in counts.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=pair_lists_with_repeats(), with_lexicon=st.booleans())
+def test_training_equals_the_pair_by_pair_loop(pairs, with_lexicon):
+    lexicon = VerbLexicon.bundled() if with_lexicon else None
+    widths = [0, 1, 2, 3]
+    vocab = build_vocab(pairs[::2], 12, lexicon)  # some tags fall outside it, as UNKNOWN
+    models = train_baselines(pairs, vocab, [(cw, 1.0) for cw in widths], lexicon)
+    for model, expected in zip(models, train_oracle.train_counts(pairs, vocab, widths, lexicon)):
+        assert nested_items(model.counts) == nested_items(expected)
+    oracle_tags = train_oracle.count_edit_tags(pairs, lexicon)
+    tags = count_edit_tags(pairs, lexicon)
+    assert list(tags.items()) == list(oracle_tags.items())
+    tripled = train_baselines(pairs * 3, vocab, [(cw, 1.0) for cw in widths], lexicon)
+    for model, three in zip(models, tripled):
+        assert nested_items(three.counts) == [
+            (key, [(idx, 3 * n) for idx, n in items]) for key, items in nested_items(model.counts)
+        ]
+    assert count_edit_tags(pairs * 3, lexicon) == Counter({tag: 3 * n for tag, n in tags.items()})
+
+
+def test_training_encodes_each_distinct_pair_once(monkeypatch):
+    pairs = make_corpus(60, seed=9)
+    vocab = build_vocab(pairs, 50)
+    encoded = []
+    real = align_module.encode_passes
+
+    def counting(source, target, lexicon=None):
+        encoded.append((source, target))
+        return real(source, target, lexicon)
+
+    monkeypatch.setattr(align_module, "encode_passes", counting)
+    train_baselines(pairs * 2, vocab, [(1, 1.0)])
+    assert encoded == list(dict.fromkeys(pairs))
 
 
 def test_baseline_rows_sum_to_one_tightly(small_vocab):
