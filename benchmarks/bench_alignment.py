@@ -2,7 +2,10 @@
 """Time the Levenshtein alignment kernel alone: compiled vs pure Python.
 
 The speedup printed here is for the kernel alone (``backtrace_ops`` on
-interned token ids), plus two lines for ``extract_edits``, the kernel with its
+interned token ids), and for the pure-Python kernel's batch pass
+(``backtrace_ops_batch`` on all pairs at once; it aligns them one by one
+below ``BATCH_MIN`` pairs) over its one-pair-at-a-time loop on the same
+pairs.  Then come two lines for ``extract_edits``, the kernel with its
 Python run extraction, on the active backend: one on the random pairs, one on
 pairs that are identical or differ only in their first third.  The second is
 the traffic of training and voting, where most pairs share a long suffix,
@@ -58,6 +61,15 @@ def time_kernel(kernel, pairs, repeats: int = 3) -> float:
     return best
 
 
+def time_batch_kernel(pairs, repeats: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _levenshtein.backtrace_ops_batch(pairs)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def time_extract_edits(word_pairs) -> float:
     start = time.perf_counter()
     for src, tgt in word_pairs:
@@ -77,6 +89,12 @@ def main() -> None:
 
     py_time = time_kernel(_levenshtein, pairs)
     print(f"kernel alone, pure python : {py_time:.3f}s  ({args.pairs / py_time:,.0f} pairs/s)")
+    batch_time = time_batch_kernel(pairs)
+    print(
+        f"kernel alone, pure python batched: {batch_time:.3f}s  ({args.pairs / batch_time:,.0f} pairs/s, "
+        f"{py_time / batch_time:.1f}x over one pair at a time)"
+    )
+    assert _levenshtein.backtrace_ops_batch(pairs) == [_levenshtein.backtrace_ops(src, tgt) for src, tgt in pairs]
     if _levenshtein_c is None:
         print("kernel alone, compiled    : not built (python setup.py build_ext --inplace)")
     else:

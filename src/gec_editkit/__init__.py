@@ -9,7 +9,7 @@ files of tag probabilities, and a count-based baseline tagger makes the
 whole system runnable end to end at desk scale.
 """
 
-from .align import alignment_backend, encode_tags, extract_edits, extract_edits_batch
+from .align import alignment_backend, encode_tags, encode_tags_batch, extract_edits, extract_edits_batch
 from .corpus import (
     M2Block,
     M2Edit,
@@ -96,6 +96,7 @@ __all__ = [
     "detect_transform",
     "distill",
     "encode_tags",
+    "encode_tags_batch",
     "extract_edits",
     "extract_edits_batch",
     "f_beta",

@@ -8,6 +8,22 @@ when one is built; otherwise the bit-parallel pure-Python kernel in
 streams, one op code per alignment step, and this module reads those codes
 directly.
 
+Every alignment goes through one batch entry, ``_runs_batch``: the corpus
+operations (``extract_edits_batch``, ``encode_tags_batch``, ``count_passes``
+and so ``build_vocab`` and training, ``ensemble.vote_correct_batch``) hand it
+all their pairs at once, and the per-pair functions a batch of one.  It
+trims each pair's common suffix, answers pairs left with an empty side
+without the kernel, aligns the rest and reads their runs.  Which kernel path
+aligns them is decided there and in ``_levenshtein``:
+
+- with the compiled kernel, each pair's interned ids go to it one by one;
+- with the pure-Python kernel, the tokens go to
+  ``_levenshtein.backtrace_ops_batch``, which aligns the pairs whose source
+  holds 1 to 64 tokens in one vectorised bit-parallel pass when there are at
+  least ``_levenshtein.BATCH_MIN`` of them, and every other pair one by one.
+  The pure-Python kernel compares tokens only for equality, so it needs no
+  interning.
+
 The common suffix of a pair never reaches the kernel.  The backtrace starts
 at the end of both sequences and takes equal ids as MATCH before reading
 anything else, so it always consumes the maximal common suffix as MATCHes,
@@ -24,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
+from .errors import ContractError
 from .spans import EditSpan, TokenSeq
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
 from .transforms import VerbLexicon, apply_tags, detect_transform
@@ -53,8 +70,11 @@ def _intern(source: Sequence[str], target: Sequence[str]) -> tuple[list[int], li
     return src, tgt
 
 
-def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, int, int, bytes]]:
-    """Maximal stretches of non-MATCH ops in the minimal-cost alignment.
+_Run = tuple[int, int, int, int, bytes]
+
+
+def _runs_batch(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Iterator[list[_Run]]:
+    """The runs of each pair, in order: maximal stretches of non-MATCH ops in its minimal-cost alignment.
 
     Each run is ``(src_start, src_end, tgt_start, tgt_end, codes)``: the
     source and target spans it covers and its slice of the kernel's op codes.
@@ -70,17 +90,36 @@ def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, 
     [0, 0) -> a, [1, 2) -> y, but with the prefix cut off as [1, 2) -> a y.
     When the trim leaves one side empty (identical sentences, or one the
     other's suffix), the only alignment is all DELETEs or all INSERTs, and
-    the kernel is not called.
+    the kernel is not called.  The pairs that need the kernel go to it in one
+    batch; each pair's runs are read from its op codes as the caller takes
+    them, so a caller that keeps only what it makes of them holds one pair's
+    runs at a time.
     """
-    n, m = len(source), len(target)
-    while n and m and source[n - 1] == target[m - 1]:
-        n -= 1
-        m -= 1
-    if not (n and m):
-        # One side is empty: n DELETEs or m INSERTs is the only alignment.
-        return [(0, n, 0, m, _DELETE * n + _INSERT * m)] if n or m else []
-    codes = _kernel.backtrace_ops(*_intern(source[:n], target[:m]))
-    runs: list[tuple[int, int, int, int, bytes]] = []
+    ends: list[tuple[int, int]] = []
+    for source, target in pairs:
+        n, m = len(source), len(target)
+        while n and m and source[n - 1] == target[m - 1]:
+            n -= 1
+            m -= 1
+        ends.append((n, m))
+    codes = iter(_backtrace([(src[:n], tgt[:m]) for (src, tgt), (n, m) in zip(pairs, ends) if n and m]))
+    # One side empty: n DELETEs or m INSERTs is the only alignment.
+    return (
+        _walk(next(codes)) if n and m else [(0, n, 0, m, _DELETE * n + _INSERT * m)] if n or m else []
+        for n, m in ends
+    )
+
+
+def _backtrace(pairs: list[tuple[Sequence[str], Sequence[str]]]) -> list[bytes]:
+    """The op codes of each pair from the kernel selected at import."""
+    if _kernel is _levenshtein:
+        return _levenshtein.backtrace_ops_batch(pairs)
+    return [_kernel.backtrace_ops(*_intern(source, target)) for source, target in pairs]
+
+
+def _walk(codes: bytes) -> list[_Run]:
+    """The runs of one op stream."""
+    runs: list[_Run] = []
     i = j = src_start = tgt_start = 0
     start = -1  # index into codes where the open run began, or -1
     for k, code in enumerate(codes):
@@ -102,6 +141,18 @@ def _runs(source: Sequence[str], target: Sequence[str]) -> list[tuple[int, int, 
     return runs
 
 
+def _runs(source: Sequence[str], target: Sequence[str]) -> list[_Run]:
+    """_runs_batch of one pair."""
+    return next(_runs_batch([(source, target)]))
+
+
+def _edits(target: TokenSeq, runs: list[_Run]) -> list[EditSpan]:
+    return [
+        EditSpan(src_start, src_end, target[tgt_start:tgt_end])
+        for src_start, src_end, tgt_start, tgt_end, _ in runs
+    ]
+
+
 def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan]:
     """Span edits turning ``source`` into ``target``.
 
@@ -110,10 +161,7 @@ def extract_edits(source: Sequence[str], target: Sequence[str]) -> list[EditSpan
     with apply_edits reproduces ``target`` exactly.
     """
     tgt = tuple(target)
-    return [
-        EditSpan(src_start, src_end, tgt[tgt_start:tgt_end])
-        for src_start, src_end, tgt_start, tgt_end, _ in _runs(source, tgt)
-    ]
+    return _edits(tgt, _runs(source, tgt))
 
 
 def extract_edits_batch(
@@ -124,15 +172,18 @@ def extract_edits_batch(
     """extract_edits of each source against the target at its position.
 
     Each distinct ``(source, target)`` pair is aligned once, and positions
-    that repeat it share its edit list.  ``known`` maps pairs to edits
-    already extracted and gets the new ones, so a caller that scores many
-    corrections of one corpus (tune's trials) aligns no pair twice.
+    that repeat it share its edit list; the pairs not yet known are aligned
+    in one batch.  ``known`` maps pairs to edits already extracted and gets
+    the new ones, so a caller that scores many corrections of one corpus
+    (tune's trials) aligns no pair twice.
     """
+    if len(sources) != len(targets):
+        raise ContractError(f"{len(sources)} sources but {len(targets)} targets")
     known = {} if known is None else known
     pairs = [(tuple(source), tuple(target)) for source, target in zip(sources, targets)]
-    for pair in pairs:
-        if pair not in known:
-            known[pair] = extract_edits(*pair)
+    new = [pair for pair in dict.fromkeys(pairs) if pair not in known]
+    for pair, runs in zip(new, _runs_batch(new)):
+        known[pair] = _edits(pair[1], runs)
     return [known[pair] for pair in pairs]
 
 
@@ -152,8 +203,23 @@ def encode_tags(
     """
     src = tuple(source)
     tgt = tuple(target)
+    return _tags(src, tgt, _runs(src, tgt), lexicon)
+
+
+def encode_tags_batch(
+    pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
+    lexicon: VerbLexicon | None = None,
+) -> list[TagSeq]:
+    """encode_tags of each ``(source, target)`` pair; each distinct pair is aligned once, all in one batch."""
+    pairs = [(tuple(source), tuple(target)) for source, target in pairs]
+    distinct = list(dict.fromkeys(pairs))
+    tags = {pair: _tags(*pair, runs, lexicon) for pair, runs in zip(distinct, _runs_batch(distinct))}
+    return [tags[pair] for pair in pairs]
+
+
+def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon | None) -> TagSeq:
     tags: list[Tag] = [KEEP] * (len(src) + 1)
-    for src_start, src_end, tgt_start, tgt_end, codes in _runs(src, tgt):
+    for src_start, src_end, tgt_start, tgt_end, codes in runs:
         repl = tgt[tgt_start:tgt_end]
         width = src_end - src_start
         if width == 0:
@@ -224,9 +290,32 @@ def count_passes(
     order the passes first appear in the stream of all pairs' passes, so
     anything tallied over them in key order first meets its items in the
     order that stream would.
+
+    The pairs walk to convergence side by side: one encode_tags_batch call
+    encodes the next pass of every pair not yet at its all-KEEP pass.  The
+    passes are counted afterwards, pair by pair, in the stream's order.
     """
+    copies = Counter((tuple(s), tuple(t)) for s, t in pairs)
+    walks: list[list[tuple[TokenSeq, TagSeq]]] = [[] for _ in copies]
+    # (pair's index, its current sentence, its target) for every pair still walking
+    active = [(k, source, target) for k, (source, target) in enumerate(copies)]
+    while active:
+        encoded = encode_tags_batch([(cur, target) for _, cur, target in active], lexicon)
+        walking = []
+        for (k, cur, target), tags in zip(active, encoded):
+            walks[k].append((cur, tags))
+            if tags.all_keep:
+                continue
+            cur = apply_tags(cur, tags, lexicon)
+            # As in encode_passes: len(target)+1 applies suffice to reach the
+            # target, and one more encode observes the all-KEEP fixed point.
+            if len(walks[k]) == len(target) + 2:  # pragma: no cover
+                source = list(copies)[k][0]
+                raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")
+            walking.append((k, cur, target))
+        active = walking
     passes: dict[tuple[TokenSeq, TagSeq], int] = {}
-    for (source, target), copies in Counter((tuple(s), tuple(t)) for s, t in pairs).items():
-        for one in encode_passes(source, target, lexicon):
-            passes[one] = passes.get(one, 0) + copies
+    for walk, n in zip(walks, copies.values()):
+        for one in walk:
+            passes[one] = passes.get(one, 0) + n
     return passes

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .align import encode_tags, extract_edits_batch
+from .align import encode_tags_batch, extract_edits_batch
 from .corpus import (
     filter_edit_free,
     read_lines,
@@ -142,7 +142,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     pairs = read_tsv_corpus(args.input)
-    write_sentences(args.output, [[format_tag(t) for t in encode_tags(src, tgt, lexicon)] for src, tgt in pairs])
+    write_sentences(args.output, [list(map(format_tag, tags)) for tags in encode_tags_batch(pairs, lexicon)])
     return 0
 
 

@@ -15,12 +15,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .align import extract_edits
+from .align import extract_edits, extract_edits_batch
 from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, apply_edits, edits_conflict
 from .tagger import TagDistribution, Tagger, predict_stack
 from .transforms import VerbLexicon
+
+# vote_correct_batch votes this many distinct rows at a time.  With three
+# members that is up to 384 pairs per alignment batch, enough for the
+# batched kernel.  A chunk's edits and kernel arrays are held at once: on
+# the 500 rows of three 24-40-token members that perfbench's long-align
+# votes, the vote's peak heap (tracemalloc) rose by about 0.7 MB over
+# voting row by row with 128 rows, and by about 1.3 MB with 256.
+VOTE_ROWS = 128
 
 
 def average_distributions(dists: Sequence[TagDistribution]) -> TagDistribution:
@@ -85,16 +93,25 @@ class VoteTally:
         return picked
 
 
-def tally_votes(source: Sequence[str], model_outputs: Sequence[Sequence[str]]) -> VoteTally:
+def tally_votes(
+    source: Sequence[str],
+    model_outputs: Sequence[Sequence[str]],
+    known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] | None = None,
+) -> VoteTally:
     """Each member's edits, one vote per member.
 
     Members with the same output are aligned once, in the order of their
     first appearance, so ``votes`` lists edits in the order a per-member
-    loop would first meet them.
+    loop would first meet them.  ``known`` maps ``(source, output)`` pairs
+    to their edits already extracted (extract_edits_batch); other outputs
+    are aligned here.
     """
+    src = tuple(source)
+    known = {} if known is None else known
     votes: dict[EditSpan, int] = {}
     for output, members in Counter(map(tuple, model_outputs)).items():
-        for edit in extract_edits(source, output):
+        edits = known.get((src, output))
+        for edit in extract_edits(src, output) if edits is None else edits:
             votes[edit] = votes.get(edit, 0) + members
     return VoteTally(votes)
 
@@ -118,17 +135,23 @@ def majority_vote(
     source: Sequence[str],
     model_outputs: Sequence[Sequence[str]],
     n_min: int,
+    known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] | None = None,
 ) -> list[EditSpan]:
     """Edits proposed identically by at least ``n_min`` members.
 
     Surviving edits that still overlap each other (possible across members)
     are resolved deterministically in favor of the higher vote count.
+    ``known`` is tally_votes's.
     """
-    if not 1 <= n_min <= len(model_outputs):
-        raise ContractError(f"n_min must lie in [1, {len(model_outputs)}], got {n_min}")
-    tally = tally_votes(source, model_outputs)
+    _check_quorum(n_min, len(model_outputs))
+    tally = tally_votes(source, model_outputs, known)
     survivors = [(e, tally.votes[e]) for e in tally.surviving(n_min)]
     return _resolve_conflicts(survivors)
+
+
+def _check_quorum(n_min: int, members: int) -> None:
+    if not 1 <= n_min <= members:
+        raise ContractError(f"n_min must lie in [1, {members}], got {n_min}")
 
 
 def average_correct_batch(
@@ -165,9 +188,10 @@ def vote_correct(
     source: Sequence[str],
     model_outputs: Sequence[Sequence[str]],
     n_min: int,
+    known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] | None = None,
 ) -> TokenSeq:
-    """Apply the quorum's surviving edits to the source in one shot."""
-    return apply_edits(source, majority_vote(source, model_outputs, n_min))
+    """Apply the quorum's surviving edits to the source in one shot (``known`` is tally_votes's)."""
+    return apply_edits(source, majority_vote(source, model_outputs, n_min, known))
 
 
 def vote_correct_batch(
@@ -180,16 +204,27 @@ def vote_correct_batch(
     ``member_outputs`` holds one output list per member, each as long as
     ``sources``.  Voting is a pure function of a source and its members'
     outputs, so each distinct row is voted once and its result given to
-    every position that holds it.
+    every position that holds it.  The distinct rows are voted VOTE_ROWS at
+    a time: the edits of all their distinct ``(source, output)`` pairs are
+    extracted in one batch, and only that chunk's edits are held.
     """
     if not member_outputs:
         raise ContractError("need at least one member")
     for i, outputs in enumerate(member_outputs):
         if len(outputs) != len(sources):
             raise ContractError(f"member {i} has {len(outputs)} outputs for {len(sources)} sources")
+    _check_quorum(n_min, len(member_outputs))
     rows = [
         (tuple(source), tuple(map(tuple, outputs)))
         for source, outputs in zip(sources, zip(*member_outputs))
     ]
-    voted = {row: vote_correct(*row, n_min) for row in dict.fromkeys(rows)}
+    distinct = list(dict.fromkeys(rows))
+    voted: dict[tuple[TokenSeq, tuple[TokenSeq, ...]], TokenSeq] = {}
+    for start in range(0, len(distinct), VOTE_ROWS):
+        chunk = distinct[start : start + VOTE_ROWS]
+        pairs = [(source, output) for source, outputs in chunk for output in outputs]
+        known: dict[tuple[TokenSeq, TokenSeq], list[EditSpan]] = {}
+        extract_edits_batch([source for source, _ in pairs], [output for _, output in pairs], known)
+        for source, outputs in chunk:
+            voted[source, outputs] = vote_correct(source, outputs, n_min, known)
     return [voted[row] for row in rows]

@@ -1,6 +1,7 @@
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,10 @@ from gec_editkit import (
     format_tag,
     train_baseline,
 )
+from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
-from gec_editkit.align import _intern, _runs, encode_passes
+from gec_editkit.align import _intern, _runs, _runs_batch, encode_passes
+from gec_editkit.errors import ContractError
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
 
@@ -139,19 +142,20 @@ def test_batch_extraction_aligns_each_distinct_pair_once(monkeypatch):
     sources = [list(s) if i % 3 else s for i, (s, _) in enumerate(pairs)]
     targets = [t for _, t in pairs]
     expected = [extract_edits(s, t) for s, t in pairs]
+    reversed_expected = [extract_edits(t, s) for s, t in pairs[:3]]
     aligned = []
-    real = align.extract_edits
+    real = align._runs_batch
 
-    def counting(source, target):
-        aligned.append((source, target))
-        return real(source, target)
+    def counting(batch):
+        aligned.extend(batch)
+        return real(batch)
 
-    monkeypatch.setattr(align, "extract_edits", counting)
+    monkeypatch.setattr(align, "_runs_batch", counting)
     known = {}
     assert extract_edits_batch(sources, targets, known) == expected
     assert aligned == list(dict.fromkeys(pairs))
     # a second call with the same known pairs aligns none of them again
-    assert extract_edits_batch(targets[:3], sources[:3], known) == [real(t, s) for s, t in pairs[:3]]
+    assert extract_edits_batch(targets[:3], sources[:3], known) == reversed_expected
     assert extract_edits_batch(sources, targets, known) == expected
     assert len(aligned) == len(set(pairs) | {(t, s) for s, t in pairs[:3]})
 
@@ -219,6 +223,72 @@ def test_an_empty_side_after_the_trim_needs_no_kernel(kernel, pair):
     with mock.patch.object(align, "_kernel", mock.Mock(backtrace_ops=counting)):
         assert _runs(source, target) == expected
     assert calls == []
+
+
+def mixed_batch(rng, lexicon):
+    """Pairs of every kind a corpus batch holds, repeats included.
+
+    Edited pairs, transform-prone ones, identical ones, pairs with an empty
+    side or one side a suffix of the other, pairs that share a suffix, and
+    sources past 64 tokens.
+    """
+    groups = transform_groups(lexicon)
+    pairs = []
+    for k in range(420):
+        source, target = random_pair(rng, max_len=40)
+        kind = k % 7
+        if kind == 1:
+            target = source
+        elif kind == 2:
+            source, target = rng.choice([((), target), (source, ())])
+        elif kind == 3:
+            target = source[rng.randint(0, len(source)):]
+        elif kind == 4:
+            suffix = random_tokens(rng, max_len=20)
+            source, target = source + suffix, target + suffix
+        elif kind == 5:
+            source = random_tokens(rng, max_len=90, min_len=65)
+            target = source[:30] + random_tokens(rng, max_len=5) + source[30:]
+        elif kind == 6:
+            source, target = transform_pair(rng, groups, lexicon, max_len=20)
+        pairs.append((source, target))
+    pairs += rng.sample(pairs, 100)
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_batch_entry_equals_aligning_pair_by_pair(kernel, lexicon, seed):
+    pairs = mixed_batch(random.Random(seed), lexicon)
+    sources = [list(source) for source, _ in pairs]
+    targets = [target for _, target in pairs]
+    laned = []
+    real = _levenshtein._align_lanes
+
+    def counting(lanes):
+        laned.append(len(lanes))
+        return real(lanes)
+
+    with mock.patch.object(align, "_kernel", kernel), mock.patch.object(_levenshtein, "_align_lanes", counting):
+        # One pair at a time is below BATCH_MIN, so each goes to the per-pair kernel.
+        runs = [_runs(source, target) for source, target in pairs]
+        edits = [extract_edits(source, target) for source, target in pairs]
+        tags = [encode_tags(source, target, lexicon) for source, target in pairs]
+        assert laned == []
+        assert runs == [untrimmed_oracle_runs(source, target) for source, target in pairs]
+        assert list(_runs_batch(pairs)) == runs
+        assert extract_edits_batch(sources, targets) == edits
+        assert align.encode_tags_batch(zip(sources, targets), lexicon) == tags
+    # The batches are large enough for the batch pass on the pure-Python kernel.
+    assert (len(laned) >= 3) == (kernel is _levenshtein)
+
+
+def test_batch_extraction_refuses_unequal_lengths():
+    with pytest.raises(ContractError, match="2 sources but 1 targets"):
+        extract_edits_batch([("a", "b"), ("c",)], [("a", "x")])
+    with pytest.raises(ContractError, match="0 sources but 1 targets"):
+        extract_edits_batch([], [("a",)])
 
 
 def test_the_common_prefix_is_aligned_not_trimmed():

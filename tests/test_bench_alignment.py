@@ -16,5 +16,7 @@ def test_bench_alignment_reports_extract_edits():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert "kernel alone, pure python" in out.stdout
+    assert "kernel alone, pure python batched" in out.stdout
+    assert "over one pair at a time" in out.stdout
     assert "extract_edits, kernel plus run extraction" in out.stdout
     assert "extract_edits, identical or shared-suffix pairs" in out.stdout

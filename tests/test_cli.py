@@ -330,13 +330,14 @@ def test_members_sharing_a_tsv_are_encoded_once(workspace, monkeypatch):
 
     tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
     calls = [0]
-    real = align.encode_tags
+    real = align.encode_tags_batch
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counting(pairs, lexicon=None):
+        pairs = list(pairs)
+        calls[0] += len(pairs)
+        return real(pairs, lexicon)
 
-    monkeypatch.setattr(align, "encode_tags", counting)
+    monkeypatch.setattr(align, "encode_tags_batch", counting)
     assert main([
         "correct", "--input", str(eval_txt), "--output", str(tmp_path / "one.txt"),
         "--vocab", str(vocab_path), "--tagger", f"baseline={train_tsv}",

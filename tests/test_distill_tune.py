@@ -313,13 +313,13 @@ def test_tune_aligns_each_distinct_correction_once(monkeypatch):
         expected.append(score_corpus([extract_edits(s, o) for s, o in zip(sources, outputs)], gold))
         corrections.update(zip(sources, outputs))
     aligned = []
-    real = align.extract_edits
+    real = align._runs_batch
 
-    def counting(source, target):
-        aligned.append((source, target))
-        return real(source, target)
+    def counting(pairs):
+        aligned.extend(pairs)
+        return real(pairs)
 
-    monkeypatch.setattr(align, "extract_edits", counting)
+    monkeypatch.setattr(align, "_runs_batch", counting)
     result = run_tune(corrector, sources, gold, trials=12, seed=4)
     assert [trial.report for trial in result.trials] == expected
     assert sorted(aligned) == sorted(corrections)

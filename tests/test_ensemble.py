@@ -182,16 +182,23 @@ def test_batch_vote_votes_each_distinct_row_once(monkeypatch):
     sources = [list(source) if i % 2 else source for i, (source, _) in enumerate(rows)]
     member_outputs = [[outputs[m] for _, outputs in rows] for m in range(3)]
     expected = [vote_correct(source, outputs, 2) for source, outputs in rows]
-    voted = []
+    voted, aligned = [], []
     real = ensemble.vote_correct
 
-    def counting(source, outputs, n_min):
+    def counting(source, outputs, n_min, known=None):
         voted.append((source, outputs))
-        return real(source, outputs, n_min)
+        return real(source, outputs, n_min, known)
+
+    def unbatched(source, output):
+        aligned.append((source, output))
+        return extract_edits(source, output)
 
     monkeypatch.setattr(ensemble, "vote_correct", counting)
+    monkeypatch.setattr(ensemble, "extract_edits", unbatched)
     assert vote_correct_batch(sources, member_outputs, 2) == expected
     assert voted == list(dict.fromkeys((source, tuple(outputs)) for source, outputs in rows))
+    # every member output was aligned in the batch, none row by row
+    assert aligned == []
 
 
 def test_batch_vote_contracts():
@@ -201,6 +208,12 @@ def test_batch_vote_contracts():
         vote_correct_batch([("a",)], [], 1)
     with pytest.raises(ContractError, match="n_min"):
         vote_correct_batch([("a",)], [[("a",)]], 2)
+
+
+@pytest.mark.parametrize("n_min", [0, 3, 7])
+def test_batch_vote_checks_the_quorum_without_rows(n_min):
+    with pytest.raises(ContractError, match=rf"n_min must lie in \[1, 2\], got {n_min}"):
+        vote_correct_batch([], [[], []], n_min)
 
 
 def test_tally_and_majority_vote_by_hand():

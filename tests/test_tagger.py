@@ -224,16 +224,21 @@ def test_training_equals_the_pair_by_pair_loop(pairs, with_lexicon):
 def test_training_encodes_each_distinct_pair_once(monkeypatch):
     pairs = make_corpus(60, seed=9)
     vocab = build_vocab(pairs, 50)
-    encoded = []
-    real = align_module.encode_passes
+    batches = []
+    real = align_module.encode_tags_batch
 
-    def counting(source, target, lexicon=None):
-        encoded.append((source, target))
-        return real(source, target, lexicon)
+    def counting(batch, lexicon=None):
+        batches.append(list(batch))
+        return real(batches[-1], lexicon)
 
-    monkeypatch.setattr(align_module, "encode_passes", counting)
+    monkeypatch.setattr(align_module, "encode_tags_batch", counting)
     train_baselines(pairs * 2, vocab, [(1, 1.0)])
-    assert encoded == list(dict.fromkeys(pairs))
+    # The first batch holds each distinct pair once, in first-seen order, and
+    # the later ones only the passes after it: no pair is walked twice.
+    distinct = list(dict.fromkeys(pairs))
+    assert batches[0] == distinct
+    passes = [list(align_module.encode_passes(source, target)) for source, target in distinct]
+    assert sum(map(len, batches)) == sum(map(len, passes))
 
 
 def test_baseline_rows_sum_to_one_tightly(small_vocab):
