@@ -262,11 +262,9 @@ def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
     span_parts = span_field.split()
     if len(span_parts) != 2:
         raise FormatError(f"bad span {span_field!r}")
-    try:
-        start, end = int(span_parts[0]), int(span_parts[1])
-        annotator = int(annotator_field)
-    except ValueError:
-        raise FormatError(f"non-integer span or annotator in {line!r}") from None
+    start = _m2_int(span_parts[0], "span start")
+    end = _m2_int(span_parts[1], "span end")
+    annotator = _m2_int(annotator_field, "annotator")
     if annotator < 0:
         raise FormatError(f"negative annotator id {annotator}")
     if not edit_type or "|||" in edit_type:
@@ -283,6 +281,20 @@ def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
     if _NONE_FIELD in replacement:
         raise FormatError(f"{_NONE_FIELD} marks a deletion on its own, not a token of {replacement_field!r}")
     return annotator, M2Edit(EditSpan(start, end, replacement), edit_type)
+
+
+def _m2_int(field: str, name: str) -> int:
+    """``field`` as an int, if written as write_m2 writes ints: ``str(n)`` exactly.
+
+    int() alone would also take "+1", "1_0", " 1" and non-ASCII digits.
+    """
+    try:
+        value = int(field)
+    except ValueError:
+        value = None
+    if value is None or str(value) != field:
+        raise FormatError(f"non-integer {name} {field!r}: expected a plain decimal such as 0 or -1")
+    return value
 
 
 def write_m2(path: str | Path, blocks: Iterable[M2Block]) -> None:

@@ -12,14 +12,17 @@ Rows include the START position first, so there are len(tokens) + 1 of them.
 A sentence has at most one record.  A record is valid when ``tokens`` is a
 list of tokens (``spans.is_token``), ``rows`` holds len(tokens) + 1 lists of
 exactly ``vocab_size`` numbers, and ``error_probs`` holds one number per row.
-Every number must be a JSON number or boolean (no strings, no null) within
-[0, 1], and each row must sum to 1 within tagger.CONSTRUCT_SUM_TOL.  The reader builds each record's arrays
-once, checks the shape of ``rows`` and leaves the rest (the ``error_probs``
-length and every numeric check) to TagDistribution, so they run vectorised
-and only once.  The writer leaves its in-memory records to
-TagDistribution.check_fits, the one check of vocab, width and layout that
-the decoder and MatrixTagger use too, so a bad record raises ContractError,
-as does a second record for the same tokens, which the reader would refuse.
+Every number must be a JSON number or boolean (no strings, numeric or not,
+and no null) within [0, 1], and each row must sum to 1 within
+tagger.CONSTRUCT_SUM_TOL.  The reader checks the shape of ``rows`` and
+``error_probs`` first, then packs each row into float64 with one C-level
+struct call, which refuses any other value and keeps every double's bits
+(``true`` and ``false`` read as 1 and 0).  Every numeric check is left to
+TagDistribution, so those run vectorised and only once.  The writer leaves
+its in-memory records to TagDistribution.check_fits, the one check of
+vocab, width and layout that the decoder and MatrixTagger use too, so a bad
+record raises ContractError, as does a second record for the same tokens,
+which the reader would refuse.
 
 The reader parses each line with orjson, which is strict JSON: ``NaN`` and
 ``Infinity`` literals, lone surrogates such as ``"\\ud800"`` and numbers
@@ -32,7 +35,8 @@ orjson reads them back bit-identically, so a write/read cycle is lossless.
 from __future__ import annotations
 
 import json
-from itertools import chain
+import struct
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterable
 
@@ -48,6 +52,9 @@ from .vocab import TagVocab
 MATRIX_FORMAT = "gec-editkit/matrix-v1"
 
 MatrixRecord = tuple[TokenSeq, TagDistribution]
+
+# The Python types orjson.loads gives JSON values, lists aside.
+_JSON_TYPES = {dict: "object", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"}
 
 
 def write_matrix_file(path: str | Path, vocab: TagVocab, records: Iterable[MatrixRecord]) -> None:
@@ -128,25 +135,38 @@ def _parse_record(line: str, vocab_id: str, vocab_size: int) -> MatrixRecord:
         tokens = validate_tokens(obj["tokens"])
     except EditKitError as exc:
         raise FormatError(f"bad tokens: {exc}") from None
-    rows = _number_array(obj["rows"], "rows")
-    shape = (len(tokens) + 1, vocab_size)
-    if rows.shape != shape:
-        raise FormatError(f"rows have shape {rows.shape}, expected {shape} ([START] + tokens by vocab size)")
-    return tokens, TagDistribution(vocab_id, rows, _number_array(obj["error_probs"], "error_probs"))
+    n_rows = len(tokens) + 1
+    rows = _float_array(obj["rows"], "rows", n_rows, vocab_size)
+    return tokens, TagDistribution(vocab_id, rows, _float_array(obj["error_probs"], "error_probs", n_rows))
 
 
-def _number_array(values: object, what: str) -> np.ndarray:
-    """``values`` as a float64 array, refusing anything but JSON numbers and booleans.
+def _float_array(values: object, what: str, n_rows: int, width: int | None = None) -> np.ndarray:
+    """``values`` as float64: ``n_rows`` numbers, or ``n_rows`` rows of ``width`` numbers.
 
-    No dtype is passed to np.array: with dtype=float64 numpy would parse a
-    numeric string such as "0.5" instead of refusing it.  Strings come back
-    with kind "U", null and objects with kind "O", and nested lists of uneven
-    length or depth raise ValueError.
+    The shape is checked first, then struct's ``d`` code packs each row in C:
+    floats bit for bit, ints rounded to the nearest double and booleans as 0
+    and 1.  Anything else (a string, numeric or not, null, a list or a dict)
+    raises struct.error.  The format is compiled only after every row has
+    matched ``width``, so a forged header width such as 2**62 fails as a
+    shape error and never reaches struct.Struct.
     """
+    if width is None:
+        shape, rows, width, items = (n_rows,), [values], n_rows, "numbers, one per row"
+    else:
+        shape, rows, items = (n_rows, width), values, "rows ([START] + tokens)"
+    if type(values) is not list or len(values) != n_rows:
+        raise FormatError(f"{what} must be a list of {n_rows} {items}, got {_size(values)}")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            raise FormatError(f"row {i} of {what} must be a list of {width} numbers (vocab size), got {_size(row)}")
+    pack = struct.Struct(f"={width}d").pack
     try:
-        arr = np.array(values)
-    except ValueError:
-        raise FormatError(f"{what} must be a rectangular array of numbers") from None
-    if arr.dtype.kind not in "biuf":
-        raise FormatError(f"{what} must hold only numbers")
-    return arr.astype(np.float64, copy=False)
+        data = b"".join(starmap(pack, rows))
+    except struct.error:
+        raise FormatError(f"{what} must hold only numbers") from None
+    return np.frombuffer(data, dtype=np.float64).reshape(shape)
+
+
+def _size(value: object) -> str:
+    """The length of ``value`` if it is a list, else its JSON type."""
+    return str(len(value)) if type(value) is list else f"a JSON {_JSON_TYPES[type(value)]}"

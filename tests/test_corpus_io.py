@@ -186,6 +186,26 @@ def test_m2_malformed_lines_are_positioned_errors(tmp_path, line, needle):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "a_line, field",
+    [
+        ("A 1_0 1_1|||R:X|||y|||REQUIRED|||-NONE-|||0", "span start"),
+        ("A +1 2|||R:X|||y|||REQUIRED|||-NONE-|||0", "span start"),
+        ("A 01 2|||R:X|||y|||REQUIRED|||-NONE-|||0", "span start"),
+        ("A 1 \u0662|||R:X|||y|||REQUIRED|||-NONE-|||0", "span end"),
+        ("A -1 -01|||noop|||-NONE-|||REQUIRED|||-NONE-|||0", "span end"),
+        ("A 1 2|||R:X|||y|||REQUIRED|||-NONE-|||0 ", "annotator"),
+        ("A 1 2|||R:X|||y|||REQUIRED|||-NONE-|||-0", "annotator"),
+    ],
+)
+def test_m2_numbers_must_be_written_as_write_m2_writes_them(tmp_path, a_line, field):
+    path = tmp_path / "odd.m2"
+    path.write_text("S " + " ".join("abcdefghijkl") + "\n" + a_line + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"non-integer {field} ") as exc:
+        read_m2(path)
+    assert exc.value.line == 2
+
+
 def test_unicode_round_trips(tmp_path):
     pairs = [(("café", "ёж"), ("café", "ежи")), (("日本語",), ("中文",))]
     tsv = tmp_path / "u.tsv"
