@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 from .errors import ContractError
-from .spans import EditSpan, TokenSeq
+from .spans import EditSpan, TokenSeq, _span, validate_tokens
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
 from .transforms import VerbLexicon, apply_tags, detect_transform
 
@@ -147,8 +147,10 @@ def _runs(source: Sequence[str], target: Sequence[str]) -> list[_Run]:
 
 
 def _edits(target: TokenSeq, runs: list[_Run]) -> list[EditSpan]:
+    """The spans of ``runs``: the target is checked once here, so its slices need no check of their own."""
+    target = validate_tokens(target)
     return [
-        EditSpan(src_start, src_end, target[tgt_start:tgt_end])
+        _span(src_start, src_end, target[tgt_start:tgt_end])
         for src_start, src_end, tgt_start, tgt_end, _ in runs
     ]
 
@@ -254,35 +256,11 @@ def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon |
     return TagSeq(tags)
 
 
-def encode_passes(
-    source: Sequence[str],
-    target: Sequence[str],
-    lexicon: VerbLexicon | None = None,
-) -> Iterator[tuple[TokenSeq, TagSeq]]:
-    """Run the encoder to convergence, yielding ``(sentence, tags)`` per pass.
-
-    Each pass encodes the current sentence toward ``target`` and the next one
-    applies those tags.  The last pass is the all-KEEP one at ``target``, so
-    tags that hide behind other edits (deep insertions) show up in some pass.
-    """
-    cur = tuple(source)
-    tgt = tuple(target)
-    # len(tgt)+1 applies suffice to reach the target; one more encode
-    # observes the all-KEEP fixed point.
-    for _ in range(len(tgt) + 2):
-        tags = encode_tags(cur, tgt, lexicon)
-        yield cur, tags
-        if tags.all_keep:
-            return
-        cur = apply_tags(cur, tags, lexicon)
-    raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")  # pragma: no cover
-
-
 def count_passes(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
     lexicon: VerbLexicon | None = None,
 ) -> dict[tuple[TokenSeq, TagSeq], int]:
-    """Every distinct ``(sentence, tags)`` pass of encode_passes over ``pairs``, with its count.
+    """Every distinct ``(sentence, tags)`` pass of encoding each pair to convergence, with its count.
 
     Each distinct pair is encoded once and its passes count once per copy of
     the pair; a pass that several pairs share (every pair with the same
@@ -307,8 +285,8 @@ def count_passes(
             if tags.all_keep:
                 continue
             cur = apply_tags(cur, tags, lexicon)
-            # As in encode_passes: len(target)+1 applies suffice to reach the
-            # target, and one more encode observes the all-KEEP fixed point.
+            # len(target)+1 applies suffice to reach the target, and one more
+            # encode observes the all-KEEP fixed point.
             if len(walks[k]) == len(target) + 2:  # pragma: no cover
                 source = list(copies)[k][0]
                 raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")

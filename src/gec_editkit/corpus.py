@@ -31,10 +31,10 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, EditKitError, FormatError
-from .spans import EditSpan, TokenSeq, validate_tokens
+from .spans import EditSpan, TokenSeq, _span, validate_tokens
 
 Pair = tuple[TokenSeq, TokenSeq]
 ParallelCorpus = list[Pair]
@@ -185,8 +185,7 @@ def filter_edit_free(pairs: Sequence[Pair]) -> ParallelCorpus:
     return [(s, t) for s, t in pairs if s != t]
 
 
-@dataclass(frozen=True)
-class M2Edit:
+class M2Edit(NamedTuple):
     span: EditSpan
     type: str = DEFAULT_EDIT_TYPE
 
@@ -280,7 +279,7 @@ def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
     replacement = () if replacement_field == _NONE_FIELD else _split_tokens(replacement_field)
     if _NONE_FIELD in replacement:
         raise FormatError(f"{_NONE_FIELD} marks a deletion on its own, not a token of {replacement_field!r}")
-    return annotator, M2Edit(EditSpan(start, end, replacement), edit_type)
+    return annotator, M2Edit(_span(start, end, replacement), edit_type)
 
 
 def _m2_int(field: str, name: str) -> int:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import index
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, EditOverlapError, SpanRangeError
 
@@ -24,8 +24,11 @@ def validate_tokens(tokens: Iterable[str]) -> TokenSeq:
     Strings are all tokens exactly when joining them with spaces and splitting
     the result again gives them back: a whitespace character splits its
     element, and an empty element vanishes.  That one check runs in C; the
-    per-element loop only runs to name the first bad element.
+    per-element loop only runs to name the first bad element.  A str is
+    refused whole: iterating it would give its characters.
     """
+    if isinstance(tokens, str):
+        raise ContractError(f"expected a sequence of tokens, got the str {tokens!r}")
     out = tuple(tokens)
     try:
         if tuple(" ".join(out).split()) == out:
@@ -40,24 +43,29 @@ def validate_tokens(tokens: Iterable[str]) -> TokenSeq:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class EditSpan:
+class EditSpan(NamedTuple("_EditSpanFields", [("start", int), ("end", int), ("replacement", TokenSeq)])):
     """Replace source tokens [start, end) with ``replacement``.
 
     start == end encodes a pure insertion (replacement must be non-empty);
     an empty replacement encodes a deletion.
+
+    An immutable ``(start, end, replacement)`` tuple, hashed and compared in C.
+    ``copy``, pickle (protocol 2 and up) and ``_make``/``_replace`` go through the checked constructor.
     """
 
-    start: int
-    end: int
-    replacement: TokenSeq = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replacement", validate_tokens(self.replacement))
-        if self.start < 0 or self.end < self.start:
-            raise ContractError(f"invalid span [{self.start}, {self.end})")
-        if self.start == self.end and not self.replacement:
-            raise ContractError(f"empty edit at point {self.start}: an insertion needs replacement tokens")
+    def __new__(cls, start: int, end: int, replacement: Iterable[str] = ()) -> EditSpan:
+        replacement = validate_tokens(replacement)
+        try:
+            start, end = index(start), index(end)  # an int, bool or numpy integer, as a plain int
+        except TypeError:
+            raise ContractError(f"span bounds must be integers, got [{start!r}, {end!r})") from None
+        return _span(start, end, replacement)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> EditSpan:
+        return cls(*iterable)
 
     @property
     def is_insertion(self) -> bool:
@@ -65,6 +73,16 @@ class EditSpan:
 
     def sort_key(self) -> tuple[int, int]:
         return (self.start, self.end)
+
+
+def _span(start: int, end: int, replacement: TokenSeq) -> EditSpan:
+    """EditSpan without the token and type checks, for int bounds and a
+    replacement that validate_tokens returned: ``align`` and the M2 reader."""
+    if start < 0 or end < start:
+        raise ContractError(f"invalid span [{start}, {end})")
+    if start == end and not replacement:
+        raise ContractError(f"empty edit at point {start}: an insertion needs replacement tokens")
+    return tuple.__new__(EditSpan, (start, end, replacement))
 
 
 def edits_conflict(a: EditSpan, b: EditSpan) -> bool:

@@ -20,12 +20,13 @@ from gec_editkit import (
 )
 from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
-from gec_editkit.align import _intern, _runs, _runs_batch, encode_passes
+from gec_editkit.align import _intern, _runs, _runs_batch
 from gec_editkit.errors import ContractError
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
 
 from gen import random_pair, random_tokens, transform_groups, transform_pair
+from train_oracle import encode_passes
 
 
 def brute_force_min_cost(source, target):
@@ -282,6 +283,29 @@ def test_the_batch_entry_equals_aligning_pair_by_pair(kernel, lexicon, seed):
         assert align.encode_tags_batch(zip(sources, targets), lexicon) == tags
     # The batches are large enough for the batch pass on the pure-Python kernel.
     assert (len(laned) >= 3) == (kernel is _levenshtein)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_extracted_span_passes_the_checked_constructor(kernel, lexicon, seed):
+    pairs = mixed_batch(random.Random(seed), lexicon)
+    with mock.patch.object(align, "_kernel", kernel):
+        edits = extract_edits_batch([source for source, _ in pairs], [target for _, target in pairs])
+    for span in (span for spans in edits for span in spans):
+        assert type(span) is EditSpan and type(span.start) is int and type(span.end) is int
+        assert span == EditSpan(*span)
+
+
+@pytest.mark.parametrize("source, target, message", [
+    (("a",), ("b c",), "token contains whitespace: 'b c'"),
+    (("a b", "x"), ("a b", "y"), "token contains whitespace: 'a b'"),  # the bad token is matched, not edited
+    (("a",), ("", "b"), "empty token"),
+])
+def test_extraction_refuses_a_target_that_is_not_tokens(source, target, message):
+    for extract in (extract_edits, lambda s, t: extract_edits_batch([s], [t])):
+        with pytest.raises(ContractError) as exc:
+            extract(source, target)
+        assert str(exc.value) == message
 
 
 def test_batch_extraction_refuses_unequal_lengths():

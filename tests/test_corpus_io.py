@@ -1,9 +1,15 @@
+import copy
 import os
+import pickle
 import random
 import stat
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_editkit import (
     ContractError,
@@ -184,6 +190,70 @@ def test_m2_malformed_lines_are_positioned_errors(tmp_path, line, needle):
     assert needle.lower() in str(exc.value).lower()
     assert exc.value.line is not None
     assert str(path) in str(exc.value)
+
+
+def test_m2_empty_insertion_keeps_its_message_and_place(tmp_path):
+    path = tmp_path / "bad.m2"
+    path.write_text("S a b\nA 1 1|||M:X|||-NONE-|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_m2(path)
+    assert str(exc.value) == f"{path}:2: empty edit at point 1: an insertion needs replacement tokens"
+
+
+@st.composite
+def m2_blocks(draw):
+    """A block of 0-8 tokens whose 0-3 annotators each give a noop or 1-3 edits inside the source."""
+    source = tuple(draw(st.lists(st.sampled_from(("a", "b", "café")), max_size=8)))
+    annotations = {}
+    for annotator in draw(st.sets(st.integers(0, 5), max_size=3)):
+        edits = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, len(source)))
+            end = draw(st.integers(start, len(source)))
+            repl = draw(st.lists(st.sampled_from(("x", "y", "ё")), min_size=int(start == end), max_size=2))
+            edits.append(M2Edit(EditSpan(start, end, repl), draw(st.sampled_from(("R:X", "M:Y", "UNK")))))
+        annotations[annotator] = tuple(edits)
+    return M2Block(source, annotations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(m2_blocks(), max_size=4))
+def test_m2_write_read_round_trip_property(blocks):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.m2"
+        write_m2(path, blocks)
+        back = read_m2(path)
+    assert back == blocks
+    for block in back:
+        for edit in (edit for edits in block.annotations.values() for edit in edits):
+            assert type(edit) is M2Edit and type(edit.span) is EditSpan
+            assert edit.span == EditSpan(*edit.span)
+
+
+def test_m2_edits_are_tuples_that_pickle_and_copy():
+    edit = M2Edit(EditSpan(0, 1, ("x",)), "R:X")
+    assert edit == (EditSpan(0, 1, ("x",)), "R:X") and M2Edit(EditSpan(0, 1)).type == "UNK"
+    assert repr(edit) == "M2Edit(span=EditSpan(start=0, end=1, replacement=('x',)), type='R:X')"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(edit, protocol))
+        assert back == edit and type(back) is M2Edit and type(back.span) is EditSpan
+    assert copy.copy(edit) == copy.deepcopy(edit) == edit
+    with pytest.raises(AttributeError):
+        edit.type = "M:Y"
+
+
+@pytest.mark.parametrize("write, records", [
+    (write_sentences, ["abc"]),
+    (write_tsv_corpus, [("ab", ("c",))]),
+    (write_tsv_corpus, [(("a",), "cd")]),
+    (write_m2, [M2Block("abc", {})]),
+])
+def test_writers_refuse_a_str_for_a_token_sequence(tmp_path, write, records):
+    # Iterating a str gives its characters: "abc" would go out as "a b c".
+    path = tmp_path / "out"
+    with pytest.raises(ContractError, match="expected a sequence of tokens, got the str"):
+        write(path, records)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """The package's import graph: no cycle, no lazy or type-checking-only imports,
-and no third-party import that pyproject.toml does not declare; and the token
-rule's one owner."""
+and no third-party import that pyproject.toml does not declare; the token
+rule's one owner; and who builds spans without the token check."""
 
 import ast
 import re
@@ -132,3 +132,24 @@ def test_only_spans_checks_for_whitespace():
         if name != "spans":
             assert not _whitespace_checks(tree), f"{name} checks for whitespace itself at lines {_whitespace_checks(tree)}"
 
+
+def _uses(tree, name):
+    """Whether ``tree`` names ``name``: as a variable, an attribute or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.ImportFrom) and name in {alias.name for alias in node.names}:
+            return True
+    return False
+
+
+def test_only_align_and_the_m2_reader_build_unchecked_spans():
+    # spans._span skips the token check, so only code that has checked the
+    # replacement's tokens itself may call it: align (the target, once per
+    # pair) and corpus (each M2 replacement, as it splits it).
+    trees = _trees()
+    assert _uses(trees["spans"], "_span"), "the builder's own module does not name it"
+    users = {name for name, tree in trees.items() if name != "spans" and _uses(tree, "_span")}
+    assert users == {"align", "corpus"}

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
+import pickle
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +115,61 @@ def test_edit_span_invariants():
         EditSpan(1, 1, ())  # empty insertion
     with pytest.raises(ContractError):
         EditSpan(0, 1, ("two words",))
+
+
+def test_a_str_is_not_a_token_sequence():
+    # Iterating a str gives its characters: "cat" would pass as ("c", "a", "t").
+    for make in (validate_tokens, lambda text: EditSpan(0, 1, text)):
+        with pytest.raises(ContractError, match="expected a sequence of tokens, got the str 'cat'"):
+            make("cat")
+    assert validate_tokens(["cat"]) == ("cat",)
+
+
+@pytest.mark.parametrize("start, end", [(0.5, 1), (0, 1.0), (0, "1"), (None, 1), (0, np.float64(1))])
+def test_span_bounds_must_be_integers(start, end):
+    with pytest.raises(ContractError) as exc:
+        EditSpan(start, end, ("x",))
+    assert str(exc.value) == f"span bounds must be integers, got [{start!r}, {end!r})"
+
+
+def test_integer_like_bounds_become_plain_ints():
+    span = EditSpan(False, np.int64(2), ())
+    assert span == EditSpan(0, 2) and type(span.start) is int and type(span.end) is int
+    assert repr(span) == "EditSpan(start=0, end=2, replacement=())"
+
+
+def test_a_span_is_the_tuple_of_its_fields():
+    span = EditSpan(start=0, end=1, replacement=["x"])
+    assert repr(span) == "EditSpan(start=0, end=1, replacement=('x',))"
+    assert span == (0, 1, ("x",)) and hash(span) == hash((0, 1, ("x",)))
+    assert tuple(span) == (0, 1, ("x",)) and len(span) == 3
+    assert EditSpan(0, 1, ("x",)) < EditSpan(0, 1, ("y",)) < EditSpan(0, 2, ())
+    assert not span.is_insertion and EditSpan(1, 1, ("x",)).is_insertion and span.sort_key() == (0, 1)
+    with pytest.raises(AttributeError):
+        span.start = 2
+    with pytest.raises(TypeError):
+        dataclasses.replace(span, start=1)
+    # the namedtuple helpers go through the checks too
+    assert span._replace(end=2) == EditSpan(0, 2, ("x",))
+    with pytest.raises(ContractError, match=r"invalid span \[2, 1\)"):
+        span._replace(start=2)
+    with pytest.raises(ContractError, match="got the str"):
+        EditSpan._make((0, 1, "xy"))
+
+
+def test_spans_pickle_and_copy_through_the_checked_constructor():
+    span = EditSpan(2, 2, ("a", "b"))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(span, protocol))
+        assert back == span and type(back) is EditSpan
+    assert copy.copy(span) == copy.deepcopy(span) == span
+    # A span forged past the constructor does not survive a copy or a pickle.
+    forged = tuple.__new__(EditSpan, (0.5, 1, ("x",)))
+    with pytest.raises(ContractError):
+        copy.copy(forged)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ContractError):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 _SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]

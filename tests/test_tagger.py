@@ -237,7 +237,7 @@ def test_training_encodes_each_distinct_pair_once(monkeypatch):
     # the later ones only the passes after it: no pair is walked twice.
     distinct = list(dict.fromkeys(pairs))
     assert batches[0] == distinct
-    passes = [list(align_module.encode_passes(source, target)) for source, target in distinct]
+    passes = [list(train_oracle.encode_passes(source, target)) for source, target in distinct]
     assert sum(map(len, batches)) == sum(map(len, passes))
 
 

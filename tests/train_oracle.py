@@ -12,8 +12,29 @@ from __future__ import annotations
 
 from collections import Counter
 
-from gec_editkit.align import encode_passes
+from gec_editkit.align import encode_tags
 from gec_editkit.tagger import _context_keys
+from gec_editkit.transforms import apply_tags
+
+
+def encode_passes(source, target, lexicon=None):
+    """Run the encoder to convergence, yielding ``(sentence, tags)`` per pass.
+
+    Each pass encodes the current sentence toward ``target`` and the next one
+    applies those tags.  The last pass is the all-KEEP one at ``target``, so
+    tags that hide behind other edits (deep insertions) show up in some pass.
+    """
+    cur = tuple(source)
+    tgt = tuple(target)
+    # len(tgt)+1 applies suffice to reach the target; one more encode
+    # observes the all-KEEP fixed point.
+    for _ in range(len(tgt) + 2):
+        tags = encode_tags(cur, tgt, lexicon)
+        yield cur, tags
+        if tags.all_keep:
+            return
+        cur = apply_tags(cur, tags, lexicon)
+    raise RuntimeError(f"encoding did not converge for pair {source!r} -> {target!r}")
 
 
 def train_counts(pairs, vocab, widths, lexicon=None):
