@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Time the Levenshtein alignment kernel alone: compiled vs pure Python.
+"""Time the Levenshtein alignment kernel alone: one pair at a time vs batched.
 
-The speedup printed here is for the kernel alone (``backtrace_ops`` on
-interned token ids), and for the pure-Python kernel's batch pass
-(``backtrace_ops_batch`` on all pairs at once; it aligns them one by one
-below ``BATCH_MIN`` pairs) over its one-pair-at-a-time loop on the same
-pairs.  Then come two lines for ``extract_edits``, the kernel with its
-Python run extraction, on the active backend: one on the random pairs, one on
-pairs that are identical or differ only in their first third.  The second is
-the traffic of training and voting, where most pairs share a long suffix,
-which ``extract_edits`` matches without the kernel.  It does not time any CLI
-command; ``perfbench/`` is the end-to-end instrument, and there the kernel is
-only a part of vocabulary building, span voting, and scoring.
-
-With the defaults, on a 2-vCPU Xeon with Python 3.11, the compiled kernel ran
-10-13x faster than the bit-parallel pure-Python one (median 12x of 3 runs).
+The speedup printed here is for the kernel alone, on token ids: its batch
+pass (``backtrace_ops_batch`` on all pairs at once; it aligns them one by one
+below ``BATCH_MIN`` pairs) over its one-pair-at-a-time loop
+(``backtrace_ops``) on the same pairs.  Then come two lines for
+``extract_edits``, the kernel with its Python run extraction: one on the
+random pairs, one on pairs that are identical or differ only in their first
+third.  The second is the traffic of training and voting, where most pairs
+share a long suffix, which ``extract_edits`` matches without the kernel.  It
+does not time any CLI command; ``perfbench/`` is the end-to-end instrument,
+and there the kernel is only a part of vocabulary building, span voting, and
+scoring.
 
 Usage::
 
@@ -28,12 +25,7 @@ import random
 import time
 
 from gec_editkit import _levenshtein
-from gec_editkit.align import alignment_backend, extract_edits
-
-try:
-    from gec_editkit import _levenshtein_c
-except ImportError:
-    _levenshtein_c = None
+from gec_editkit.align import extract_edits
 
 WORDS = ["the", "a", "dog", "cat", "he", "she", "go", "goes", "to", "school", "home", "very"]
 
@@ -51,12 +43,12 @@ def make_pairs(n: int, max_len: int, seed: int) -> list[tuple[list[int], list[in
     return pairs
 
 
-def time_kernel(kernel, pairs, repeats: int = 3) -> float:
+def time_kernel(pairs, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for src, tgt in pairs:
-            kernel.backtrace_ops(src, tgt)
+            _levenshtein.backtrace_ops(src, tgt)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -85,9 +77,9 @@ def main() -> None:
     args = parser.parse_args()
 
     pairs = make_pairs(args.pairs, args.max_len, args.seed)
-    print(f"{args.pairs} pairs, tokens/sentence <= {args.max_len}, active backend: {alignment_backend()}")
+    print(f"{args.pairs} pairs, tokens/sentence <= {args.max_len}")
 
-    py_time = time_kernel(_levenshtein, pairs)
+    py_time = time_kernel(pairs)
     print(f"kernel alone, pure python : {py_time:.3f}s  ({args.pairs / py_time:,.0f} pairs/s)")
     batch_time = time_batch_kernel(pairs)
     print(
@@ -95,21 +87,12 @@ def main() -> None:
         f"{py_time / batch_time:.1f}x over one pair at a time)"
     )
     assert _levenshtein.backtrace_ops_batch(pairs) == [_levenshtein.backtrace_ops(src, tgt) for src, tgt in pairs]
-    if _levenshtein_c is None:
-        print("kernel alone, compiled    : not built (python setup.py build_ext --inplace)")
-    else:
-        c_time = time_kernel(_levenshtein_c, pairs)
-        print(f"kernel alone, compiled    : {c_time:.3f}s  ({args.pairs / c_time:,.0f} pairs/s)")
-        print(f"kernel alone, speedup     : {py_time / c_time:.1f}x")
-        # sanity: both kernels agree on this workload
-        for src, tgt in pairs[:200]:
-            assert _levenshtein.backtrace_ops(src, tgt) == _levenshtein_c.backtrace_ops(src, tgt)
 
     word_pairs = [
         ([WORDS[i] for i in src], [WORDS[i] for i in tgt]) for src, tgt in pairs[:500]
     ]
     print(
-        f"extract_edits, kernel plus run extraction ({alignment_backend()}): "
+        "extract_edits, kernel plus run extraction: "
         f"{len(word_pairs) / time_extract_edits(word_pairs):,.0f} sentences/s"
     )
     # Every other pair identical, the rest edited only before a shared suffix.
@@ -118,7 +101,7 @@ def main() -> None:
         for k, (src, tgt) in enumerate(word_pairs)
     ]
     print(
-        f"extract_edits, identical or shared-suffix pairs ({alignment_backend()}): "
+        "extract_edits, identical or shared-suffix pairs: "
         f"{len(suffix_pairs) / time_extract_edits(suffix_pairs):,.0f} sentences/s"
     )
 

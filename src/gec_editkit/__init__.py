@@ -9,7 +9,7 @@ files of tag probabilities, and a count-based baseline tagger makes the
 whole system runnable end to end at desk scale.
 """
 
-from .align import alignment_backend, encode_tags, encode_tags_batch, extract_edits, extract_edits_batch
+from .align import encode_tags, encode_tags_batch, extract_edits, extract_edits_batch
 from .corpus import (
     M2Block,
     M2Edit,
@@ -85,7 +85,6 @@ __all__ = [
     "TuneResult",
     "VerbLexicon",
     "VoteTally",
-    "alignment_backend",
     "apply_edits",
     "apply_tags",
     "apply_transform",

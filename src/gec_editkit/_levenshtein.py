@@ -1,14 +1,12 @@
-"""Pure-Python Levenshtein kernel (fallback for the compiled extension).
+"""The Levenshtein kernel: pure Python, bit-parallel, with a batched numpy pass.
 
 Operates on sequences of ids that are compared only for equality, so any
 hashable values serve; ``align`` hands it the tokens themselves.  The
 distances come from Myers' bit-vector algorithm (G. Myers, JACM 1999) in
 Hyyrö's form for global edit distance (H. Hyyrö, Nordic J. Computing 2003).
-The compiled kernel in ``_levenshtein.c`` (module ``_levenshtein_c``) fills
-the full DP table instead, on ints (``align`` interns the tokens for it).  The kernels use the same unit costs, the same
-backtrace preferences and the same op codes, so they return identical op
-streams; ``tests/test_kernels.py::test_kernel_equals_the_dp_oracle`` checks
-them against the plain DP kept in ``tests/levenshtein_oracle.py``.
+The costs are unit costs, and the backtrace's preferences make the op stream
+deterministic; ``tests/test_kernels.py`` checks both paths below against the
+plain DP kept in ``tests/levenshtein_oracle.py``.
 
 There are two paths through the bit-vector algorithm.  ``backtrace_ops``
 aligns one pair with Python ints as bit vectors of any width.

@@ -1,36 +1,28 @@
 """Token alignment, span-edit extraction, and tag encoding.
 
 The Levenshtein kernel is the hot loop of every corpus-scale operation
-(vocabulary building, baseline training, span voting, scoring), so it lives
-in the compiled extension ``_levenshtein_c`` (built from ``_levenshtein.c``)
-when one is built; otherwise the bit-parallel pure-Python kernel in
-``_levenshtein`` runs.  They differ in algorithm but return identical op
-streams, one op code per alignment step, and this module reads those codes
-directly.
+(vocabulary building, baseline training, span voting, scoring).  It is the
+bit-parallel pure-Python kernel in ``_levenshtein``, which returns one op
+code per alignment step; this module reads those codes directly.
 
 Every alignment goes through one batch entry, ``_runs_batch``: the corpus
 operations (``extract_edits_batch``, ``encode_tags_batch``, ``count_passes``
 and so ``build_vocab`` and training, ``ensemble.vote_correct_batch``) hand it
 all their pairs at once, and the per-pair functions a batch of one.  It
 trims each pair's common suffix, answers pairs left with an empty side
-without the kernel, aligns the rest and reads their runs.  Which kernel path
-aligns them is decided there and in ``_levenshtein``:
-
-- with the compiled kernel, each pair's interned ids go to it one by one;
-- with the pure-Python kernel, the tokens go to
-  ``_levenshtein.backtrace_ops_batch``, which aligns the pairs whose source
-  holds 1 to 64 tokens in one vectorised bit-parallel pass when there are at
-  least ``_levenshtein.BATCH_MIN`` of them, and every other pair one by one.
-  The pure-Python kernel compares tokens only for equality, so it needs no
-  interning.
+without the kernel, and hands the rest, as tokens, to
+``_levenshtein.backtrace_ops_batch``.  That aligns the pairs whose source
+holds 1 to 64 tokens in one vectorised bit-parallel pass when there are at
+least ``_levenshtein.BATCH_MIN`` of them, and every other pair one by one.
+The kernel compares tokens only for equality, so they need no interning.
 
 The common suffix of a pair never reaches the kernel.  The backtrace starts
-at the end of both sequences and takes equal ids as MATCH before reading
+at the end of both sequences and takes equal tokens as MATCH before reading
 anything else, so it always consumes the maximal common suffix as MATCHes,
 and what it does afterwards depends only on the prefixes left.  Aligning the
 prefixes alone therefore gives exactly the full op stream minus its trailing
-MATCHes, on either kernel.  The common prefix gets no such shortcut: the
-backtrace reaches it last, after choices that may have used its tokens.
+MATCHes.  The common prefix gets no such shortcut: the backtrace reaches it
+last, after choices that may have used its tokens.
 """
 
 from __future__ import annotations
@@ -45,29 +37,13 @@ from .spans import EditSpan, TokenSeq, _span, validate_tokens
 from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
 from .transforms import VerbLexicon, apply_tags, detect_transform
 
-try:
-    from . import _levenshtein_c as _kernel  # type: ignore[no-redef]
-
-    _BACKEND = "c"
-except ImportError:
-    _kernel = _levenshtein
-    _BACKEND = "python"
-
-
 _DELETE = bytes([OP_DELETE])
 _INSERT = bytes([OP_INSERT])
 
 
 def alignment_backend() -> str:
-    """Name of the kernel selected at import: "c" or "python"."""
-    return _BACKEND
-
-
-def _intern(source: Sequence[str], target: Sequence[str]) -> tuple[list[int], list[int]]:
-    ids: dict[str, int] = {}
-    src = [ids.setdefault(t, len(ids)) for t in source]
-    tgt = [ids.setdefault(t, len(ids)) for t in target]
-    return src, tgt
+    """Always "python", the one alignment kernel: ``perfbench/worker.py`` stamps each result with it."""
+    return "python"
 
 
 _Run = tuple[int, int, int, int, bytes]
@@ -102,19 +78,13 @@ def _runs_batch(pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Iterato
             n -= 1
             m -= 1
         ends.append((n, m))
-    codes = iter(_backtrace([(src[:n], tgt[:m]) for (src, tgt), (n, m) in zip(pairs, ends) if n and m]))
+    kernel_pairs = [(src[:n], tgt[:m]) for (src, tgt), (n, m) in zip(pairs, ends) if n and m]
+    codes = iter(_levenshtein.backtrace_ops_batch(kernel_pairs))
     # One side empty: n DELETEs or m INSERTs is the only alignment.
     return (
         _walk(next(codes)) if n and m else [(0, n, 0, m, _DELETE * n + _INSERT * m)] if n or m else []
         for n, m in ends
     )
-
-
-def _backtrace(pairs: list[tuple[Sequence[str], Sequence[str]]]) -> list[bytes]:
-    """The op codes of each pair from the kernel selected at import."""
-    if _kernel is _levenshtein:
-        return _levenshtein.backtrace_ops_batch(pairs)
-    return [_kernel.backtrace_ops(*_intern(source, target)) for source, target in pairs]
 
 
 def _walk(codes: bytes) -> list[_Run]:

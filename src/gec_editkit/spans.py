@@ -87,8 +87,7 @@ def _span(start: int, end: int, replacement: TokenSeq) -> EditSpan:
 
 def edits_conflict(a: EditSpan, b: EditSpan) -> bool:
     """Whether two edits cannot apply together: they overlap, or both insert at one point."""
-    lo, hi = (a, b) if a.sort_key() <= b.sort_key() else (b, a)
-    return hi.start < lo.end or (a.is_insertion and b.is_insertion and a.start == b.start)
+    return a.start < b.end and b.start < a.end or a.start == a.end == b.start == b.end
 
 
 def _check_compatible(edits: Sequence[EditSpan]) -> list[EditSpan]:

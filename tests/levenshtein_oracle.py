@@ -1,17 +1,19 @@
-"""The plain O(n*m) Levenshtein DP: the test oracle for both alignment kernels.
+"""The plain O(n*m) Levenshtein DP: the test oracle for the alignment kernel.
 
-It fills the whole (n+1)(m+1) table one cell at a time, as the compiled
-kernel does, with unit costs and a backtrace that prefers MATCH, then
-SUBSTITUTE, then DELETE, then INSERT.
+It fills the whole (n+1)(m+1) table one cell at a time, where the kernel
+keeps only bit vectors of distance differences.  It uses unit costs and a
+backtrace that prefers MATCH, then SUBSTITUTE, then DELETE, then INSERT.
 """
 
 from __future__ import annotations
 
+from typing import Hashable, Sequence
+
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 
 
-def backtrace_ops(src_ids: list[int], tgt_ids: list[int]) -> bytes:
-    """Minimal-cost edit script between two id sequences.
+def backtrace_ops(src_ids: Sequence[Hashable], tgt_ids: Sequence[Hashable]) -> bytes:
+    """Minimal-cost edit script between two id sequences, whose ids are compared only for equality.
 
     Unit costs for substitute/delete/insert, zero for match.  The backtrace
     prefers MATCH, then SUBSTITUTE, then DELETE, then INSERT, which makes the

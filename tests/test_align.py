@@ -20,7 +20,7 @@ from gec_editkit import (
 )
 from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
-from gec_editkit.align import _intern, _runs, _runs_batch
+from gec_editkit.align import _runs, _runs_batch
 from gec_editkit.errors import ContractError
 from gec_editkit.tags import KEEP
 from gec_editkit.vocab import count_edit_tags
@@ -49,8 +49,8 @@ def brute_force_min_cost(source, target):
 
 
 def align_codes(source, target):
-    """The pure-Python kernel's op codes for two token sequences."""
-    return backtrace_ops(*_intern(source, target))
+    """The kernel's op codes for two token sequences."""
+    return backtrace_ops(source, target)
 
 
 def op_cost(codes):
@@ -163,7 +163,7 @@ def test_batch_extraction_aligns_each_distinct_pair_once(monkeypatch):
 
 def untrimmed_oracle_runs(source, target):
     """_runs read off the oracle's op stream for the whole pair, suffix included."""
-    codes = levenshtein_oracle.backtrace_ops(*_intern(source, target))
+    codes = levenshtein_oracle.backtrace_ops(source, target)
     runs = []
     i = j = 0
     start = -1
@@ -192,12 +192,11 @@ def pairs_with_a_shared_suffix(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pair=pairs_with_a_shared_suffix())
-def test_trimming_the_common_suffix_changes_no_alignment(kernel, pair):
+def test_trimming_the_common_suffix_changes_no_alignment(pair):
     source, target = pair
     with mock.patch.object(align, "_runs", untrimmed_oracle_runs):
         expected = (untrimmed_oracle_runs(source, target), extract_edits(source, target), encode_tags(source, target))
-    with mock.patch.object(align, "_kernel", kernel):
-        assert (_runs(source, target), extract_edits(source, target), encode_tags(source, target)) == expected
+    assert (_runs(source, target), extract_edits(source, target), encode_tags(source, target)) == expected
 
 
 @st.composite
@@ -212,16 +211,17 @@ def pairs_one_a_suffix_of_the_other(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(pair=pairs_one_a_suffix_of_the_other())
-def test_an_empty_side_after_the_trim_needs_no_kernel(kernel, pair):
+def test_an_empty_side_after_the_trim_needs_no_kernel(pair):
     source, target = pair
     expected = untrimmed_oracle_runs(source, target)
     calls = []
+    real = _levenshtein.backtrace_ops_batch
 
-    def counting(*ids):
-        calls.append(ids)
-        return kernel.backtrace_ops(*ids)
+    def counting(pairs):
+        calls.extend(pairs)
+        return real(pairs)
 
-    with mock.patch.object(align, "_kernel", mock.Mock(backtrace_ops=counting)):
+    with mock.patch.object(_levenshtein, "backtrace_ops_batch", counting):
         assert _runs(source, target) == expected
     assert calls == []
 
@@ -260,7 +260,7 @@ def mixed_batch(rng, lexicon):
 
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_the_batch_entry_equals_aligning_pair_by_pair(kernel, lexicon, seed):
+def test_the_batch_entry_equals_aligning_pair_by_pair(lexicon, seed):
     pairs = mixed_batch(random.Random(seed), lexicon)
     sources = [list(source) for source, _ in pairs]
     targets = [target for _, target in pairs]
@@ -271,7 +271,7 @@ def test_the_batch_entry_equals_aligning_pair_by_pair(kernel, lexicon, seed):
         laned.append(len(lanes))
         return real(lanes)
 
-    with mock.patch.object(align, "_kernel", kernel), mock.patch.object(_levenshtein, "_align_lanes", counting):
+    with mock.patch.object(_levenshtein, "_align_lanes", counting):
         # One pair at a time is below BATCH_MIN, so each goes to the per-pair kernel.
         runs = [_runs(source, target) for source, target in pairs]
         edits = [extract_edits(source, target) for source, target in pairs]
@@ -281,16 +281,15 @@ def test_the_batch_entry_equals_aligning_pair_by_pair(kernel, lexicon, seed):
         assert list(_runs_batch(pairs)) == runs
         assert extract_edits_batch(sources, targets) == edits
         assert align.encode_tags_batch(zip(sources, targets), lexicon) == tags
-    # The batches are large enough for the batch pass on the pure-Python kernel.
-    assert (len(laned) >= 3) == (kernel is _levenshtein)
+    # The batches are large enough for the batch pass.
+    assert len(laned) >= 3
 
 
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_every_extracted_span_passes_the_checked_constructor(kernel, lexicon, seed):
+def test_every_extracted_span_passes_the_checked_constructor(lexicon, seed):
     pairs = mixed_batch(random.Random(seed), lexicon)
-    with mock.patch.object(align, "_kernel", kernel):
-        edits = extract_edits_batch([source for source, _ in pairs], [target for _, target in pairs])
+    edits = extract_edits_batch([source for source, _ in pairs], [target for _, target in pairs])
     for span in (span for spans in edits for span in spans):
         assert type(span) is EditSpan and type(span.start) is int and type(span.end) is int
         assert span == EditSpan(*span)

@@ -82,10 +82,23 @@ def edits_in_source(draw):
     return EditSpan(start, end, replacement)
 
 
+def claimed_slots(edit):
+    """The token slots ``("token", k)`` and gap slots ``("gap", k)``, the gap before token k, that an edit claims.
+
+    A span [s, e) with s < e claims the tokens s..e-1 and the gaps between
+    them, s+1..e-1; an insertion at p claims the gap p alone.
+    """
+    if edit.start == edit.end:
+        return {("gap", edit.start)}
+    tokens = {("token", k) for k in range(edit.start, edit.end)}
+    return tokens | {("gap", k) for k in range(edit.start + 1, edit.end)}
+
+
 @given(edits_in_source(), edits_in_source())
 def test_apply_edits_refuses_exactly_the_pairs_that_conflict(a, b):
     conflict = edits_conflict(a, b)
     assert edits_conflict(b, a) == conflict
+    assert conflict == bool(claimed_slots(a) & claimed_slots(b))
     for pair in ([a, b], [b, a]):
         if conflict:
             with pytest.raises(EditOverlapError):
