@@ -51,8 +51,11 @@ def _load_lexicon(args: argparse.Namespace) -> VerbLexicon | None:
     return VerbLexicon.from_path(args.lexicon) if args.lexicon else None
 
 
-def _parse_spec(spec: str) -> tuple[str, tuple[int, float] | None]:
-    """``(path, (context_width, smoothing))`` of a baseline spec, ``(path, None)`` of a matrix spec."""
+def _parse_spec(spec: str, vocab_size: int) -> tuple[str, tuple[int, float] | None]:
+    """``(path, (context_width, smoothing))`` of a baseline spec, ``(path, None)`` of a matrix spec.
+
+    A baseline shape is checked against a vocab of ``vocab_size`` tags.
+    """
     kind, sep, rest = spec.partition("=")
     if not sep or not rest:
         raise ContractError(f"bad tagger spec {spec!r}: expected matrix=PATH or baseline=PATH[,cw=N][,sm=X]")
@@ -77,7 +80,7 @@ def _parse_spec(spec: str) -> tuple[str, tuple[int, float] | None]:
                 smoothing = float(value)
         except ValueError:
             raise ContractError(f"bad numeric option {opt!r} in tagger spec {spec!r}") from None
-    BaselineTagger.check_shape(context_width, smoothing)
+    BaselineTagger.check_shape(context_width, smoothing, vocab_size)
     return parts[0], (context_width, smoothing)
 
 
@@ -88,7 +91,7 @@ def _build_taggers(specs: Sequence[str], vocab, lexicon: VerbLexicon | None) -> 
     share a training TSV are trained together: the file is read and encoded
     once for all of them.
     """
-    parsed = [_parse_spec(spec) for spec in specs]
+    parsed = [_parse_spec(spec, len(vocab)) for spec in specs]
     taggers: list[Tagger | None] = [None] * len(parsed)
     baselines: dict[str, list[int]] = {}
     for i, (path, shape) in enumerate(parsed):

@@ -9,9 +9,10 @@ pipeline, ensembling included, can be exercised end to end at desk scale.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class TagDistribution:
         if bad.any():
             row = int(np.argmax(bad))
             pos = row - int(starts[np.searchsorted(starts, row, side="right") - 1])
-            raise ContractError(f"row {pos} sums to {sums[row]!r}, not 1")
+            raise ContractError(f"row {pos} sums to {float(sums[row])!r}, not 1")
         for name, value in (("rows", rows), ("error_probs", err), ("starts", starts)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -167,29 +168,92 @@ def _context_keys(tokens: TokenSeq, width: int) -> list[tuple[str, ...]]:
     return [stream[p : p + span] for p in range(len(tokens) + 1)]
 
 
+def _batch_context_keys(sentences: Sequence[Sequence[str]], width: int) -> list[tuple[str, ...]]:
+    """The _context_keys of every sentence, concatenated, built from one padded stream.
+
+    The sentences stand end to end in one stream, each as [START] + tokens
+    with ``width`` pads before and after, a gap shared by neighbours, so no
+    window centred on a sentence reaches another.  One zip of the stream's
+    shifted slices makes every window, and compress keeps those centred on a
+    START or a token.  The width is first cut to the longest sentence's
+    length + 1, which cuts nothing _context_keys would not; a sentence
+    shorter than that cut width has its keys cut to its own, so it is keyed
+    apart.
+    """
+    if not sentences:
+        return []
+    lengths = list(map(len, sentences))
+    width = min(width, max(lengths) + 1)
+    pad = (PAD_MARKER,) * width
+    stream = list(pad)
+    for tokens in sentences:
+        stream.append(START_MARKER)
+        stream += tokens
+        stream += pad
+    gap = bytes(width)
+    centred = b"".join(b"\x01" * (n + 1) + gap for n in lengths)
+    windows = zip(*[islice(stream, i, None) for i in range(2 * width + 1)])
+    keys = list(compress(windows, centred))
+    if min(lengths) + 1 < width:
+        for start, tokens in zip(sentence_bounds(lengths), sentences):
+            if len(tokens) + 1 < width:
+                keys[start : start + len(tokens) + 1] = _context_keys(tokens, width)
+    return keys
+
+
 @dataclass(frozen=True)
 class BaselineTagger:
     """Count-based tagger: P(tag | token window) with additive smoothing.
 
     Deterministic by construction; varying the window width or smoothing
     yields genuinely diverse ensemble members.
+
+    ``counts`` maps each seen context to ``{tag index: count}``.  It is read
+    once, at construction, into a compressed sparse row table: ``_ids`` gives
+    each context its row, and that row's tag indices and counts (as float64)
+    are ``_cols`` and ``_vals`` from ``_indptr[row]`` up to
+    ``_indptr[row + 1]``.  Prediction reads only the table, so ``counts``
+    must be complete before the tagger is made.
     """
 
     vocab: TagVocab
     context_width: int
     smoothing: float
     counts: dict[tuple[str, ...], dict[int, int]] = field(repr=False)
+    _ids: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _vals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.check_shape(self.context_width, self.smoothing)
+        self.check_shape(self.context_width, self.smoothing, len(self.vocab))
+        seen = list(self.counts.values())
+        indptr = np.fromiter(accumulate(map(len, seen), initial=0), dtype=np.intp, count=len(seen) + 1)
+        cols = np.fromiter(chain.from_iterable(seen), dtype=np.intp, count=indptr[-1])
+        vals = np.fromiter(chain.from_iterable(map(dict.values, seen)), dtype=np.float64, count=indptr[-1])
+        if cols.size and not (0 <= cols.min() and cols.max() < len(self.vocab)):
+            raise ContractError(f"counts name tag indices outside the vocab's {len(self.vocab)} tags")
+        table = {"_ids": dict(zip(self.counts, count())), "_indptr": indptr, "_cols": cols, "_vals": vals}
+        for name, value in table.items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
-    def check_shape(context_width: int, smoothing: float) -> None:
-        """Refuse a window width or smoothing no BaselineTagger can have."""
+    def check_shape(context_width: int, smoothing: float, vocab_size: int | None = None) -> None:
+        """Refuse a window width or smoothing no BaselineTagger can have.
+
+        Given ``vocab_size``, also refuse a smoothing whose row sum over that
+        many tags, ``smoothing * vocab_size``, exceeds half the largest float:
+        such a row overflows when it is normalised.
+        """
         if context_width < 0:
             raise ContractError("context_width must be >= 0")
         if not (smoothing > 0.0 and math.isfinite(smoothing)):
             raise ContractError("smoothing must be positive and finite so unseen contexts stay normalized")
+        if vocab_size is not None and smoothing * vocab_size > sys.float_info.max / 2:
+            raise ContractError(
+                f"smoothing {smoothing!r} over a vocab of {vocab_size} tags overflows a row's sum; "
+                "smoothing * vocab size must stay within half the largest float"
+            )
 
     def predict(self, tokens: Sequence[str]) -> TagDistribution:
         return self.predict_batch([tokens])
@@ -198,17 +262,19 @@ class BaselineTagger:
         # Every position's row starts at the smoothing value and gets its
         # context's seen counts scattered in; no dense per-context table is
         # kept, since at a 5000-tag vocab each row costs 40 KB.
-        # The hits are gathered by C-level iteration: a miss finds an empty
-        # dict, and row r repeats once per tag its context has seen.  Columns
-        # are unique within a row, so each seen cell gets exactly one +=.
-        keys = [key for tokens in sentences for key in _context_keys(tokens, self.context_width)]
+        # A hit's table row is ctx; its cells are cols/vals[indptr[ctx]:
+        # indptr[ctx + 1]], gathered for all hits at once.  Columns are unique
+        # within a table row, so each seen cell gets exactly one +=.
+        keys = _batch_context_keys(sentences, self.context_width)
         rows = np.full((len(keys), len(self.vocab)), self.smoothing)
-        seen = list(map(self.counts.get, keys, repeat({})))
-        sizes = np.fromiter(map(len, seen), dtype=np.intp, count=len(seen))
-        hit_rows = np.repeat(np.arange(len(seen), dtype=np.intp), sizes)
-        hit_cols = np.fromiter(chain.from_iterable(seen), dtype=np.intp, count=hit_rows.size)
-        hit_counts = np.fromiter(chain.from_iterable(map(dict.values, seen)), dtype=np.float64, count=hit_rows.size)
-        rows[hit_rows, hit_cols] += hit_counts
+        ctx = np.fromiter(map(self._ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        hits = np.flatnonzero(ctx >= 0)
+        lo = self._indptr[ctx[hits]]
+        sizes = self._indptr[ctx[hits] + 1] - lo
+        # Cell k of the hits' concatenated table rows sits at k minus the
+        # cells of the hits before its own, plus its own row's lo.
+        at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        rows[np.repeat(hits, sizes), self._cols[at]] += self._vals[at]
         rows /= rows.sum(axis=1, keepdims=True)
         err = np.clip(1.0 - rows[:, self.vocab.keep_index], 0.0, 1.0)
         return TagDistribution(self.vocab.sha256, rows, err, sentence_bounds(map(len, sentences))[:-1])
@@ -227,22 +293,32 @@ def train_baselines(
     iterative decoding); tags outside ``vocab`` count as UNKNOWN.  The passes
     come from align.count_passes: each distinct pair is encoded once for all
     models, and each distinct ``(sentence, tags)`` pass is added to every
-    model's tally of ``(context, tag index)`` once, times its count.  The
-    distinct passes are held in memory until they are tallied, so memory
-    grows with the corpus's distinct passes, not with its length.  The nested
-    counts are built from the tallies at the end, contexts and their tags in
-    the order a pair-by-pair, pass-by-pass loop would first see them.
+    model's tally of ``(context, tag index)`` once, times its count: one
+    Counter.update per model over the contexts of all distinct passes, each
+    repeated as often as its pass.  The distinct passes and one model's
+    contexts are held in memory until they are tallied, so memory grows with
+    the corpus's distinct passes, not with its length.  The nested counts are
+    built from the tallies at the end, contexts and their tags in the order a
+    pair-by-pair, pass-by-pass loop would first see them, and each model is
+    made from its complete counts.  Every shape is checked against ``vocab``
+    before any pair is encoded.
     """
-    models = [BaselineTagger(vocab, context_width, smoothing, {}) for context_width, smoothing in shapes]
-    tallies: list[Counter[tuple[tuple[str, ...], int]]] = [Counter() for _ in models]
-    for (cur, tags), copies in count_passes(pairs, lexicon).items():
-        indices = list(map(vocab.index_of, tags))
-        for model, tally in zip(models, tallies):
-            tally.update(list(zip(_context_keys(cur, model.context_width), indices)) * copies)
-    for model, tally in zip(models, tallies):
-        counts = model.counts
+    for context_width, smoothing in shapes:
+        BaselineTagger.check_shape(context_width, smoothing, len(vocab))
+    passes = count_passes(pairs, lexicon)
+    sentences = [cur for cur, _ in passes]
+    indices = list(map(vocab.index.get, chain.from_iterable(tags for _, tags in passes), repeat(vocab.unknown_index)))
+    models = []
+    for context_width, smoothing in shapes:
+        # Each position as often as its pass: a pass of n tokens has n + 1 positions.
+        reps = chain.from_iterable(map(repeat, passes.values(), (len(cur) + 1 for cur in sentences)))
+        items = zip(_batch_context_keys(sentences, context_width), indices)
+        tally: Counter[tuple[tuple[str, ...], int]] = Counter()
+        tally.update(chain.from_iterable(map(repeat, items, reps)))
+        counts: dict[tuple[str, ...], dict[int, int]] = {}
         for (key, idx), n in tally.items():
             counts.setdefault(key, {})[idx] = n
+        models.append(BaselineTagger(vocab, context_width, smoothing, counts))
     return models
 
 

@@ -24,6 +24,7 @@ from .spans import TokenSeq, validate_tokens
 from .tags import (
     AGREEMENT_DIRECTIONS,
     CASE_VARIANTS,
+    KEEP,
     START_KINDS,
     Tag,
     TagKind,
@@ -258,8 +259,11 @@ def apply_tags(tokens: Sequence[str], tags: Sequence[Tag], lexicon: VerbLexicon 
             skip_next = False
             continue
         tag = tags[i + 1]
+        if tag is KEEP:  # tags are interned: KEEP is the one tag of its kind
+            out.append(token)
+            continue
         kind = tag.kind
-        if kind in (TagKind.KEEP, TagKind.UNKNOWN):
+        if kind is TagKind.UNKNOWN:
             out.append(token)
         elif kind is TagKind.DELETE:
             pass

@@ -548,6 +548,29 @@ def test_a_non_finite_smoothing_is_refused_before_training(workspace, sm):
     assert not out.exists()
 
 
+def test_a_smoothing_that_overflows_a_row_sum_is_refused_before_training(workspace):
+    # Run as a process so stderr holds everything the command prints: sm=1e308
+    # once trained and then failed in predict with a numpy RuntimeWarning and
+    # a row that summed to 0.
+    tmp_path, train_tsv, eval_txt, _, _, vocab_path, _ = workspace
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = tmp_path / "o.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "gec_editkit.cli", "correct", "--input", str(eval_txt), "--output", str(out),
+         "--vocab", str(vocab_path), "--tagger", f"baseline={train_tsv},sm=1e308"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    size = len(read_vocab_file(vocab_path))
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: smoothing 1e+308 over a vocab of {size} tags overflows a row's sum; "
+        "smoothing * vocab size must stay within half the largest float\n"
+    )
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["baseline={},cw=0,cw=1", "baseline={},sm=0.5,cw=1,sm=0.5"])
 def test_a_repeated_spec_option_is_refused(workspace, capsys, monkeypatch, spec):
     import gec_editkit.cli as cli

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -30,10 +31,11 @@ from gec_editkit.tagger import (
     START_MARKER,
     BaselineTagger,
     MatrixTagger,
+    _batch_context_keys,
     _context_keys,
     keep_certain_distribution,
 )
-from gec_editkit.tags import replace
+from gec_editkit.tags import append, replace
 from gec_editkit.vocab import MANDATORY_TAGS, count_edit_tags
 
 import train_oracle
@@ -96,21 +98,93 @@ def test_baseline_probabilities_are_count_ratios(small_vocab):
     assert row[vocab.keep_index] == pytest.approx(0.5 / total)
 
 
+def per_hit_rows(model, sentences):
+    """The reference: each seen count added to its cell one at a time, then normalised."""
+    keys = [key for tokens in sentences for key in _context_keys(tokens, model.context_width)]
+    expected = np.full((len(keys), len(model.vocab)), model.smoothing)
+    for r, key in enumerate(keys):
+        for col, count in model.counts.get(key, {}).items():
+            expected[r, col] += count
+    expected /= expected.sum(axis=1, keepdims=True)
+    return keys, expected
+
+
 def test_baseline_rows_equal_the_per_hit_loop():
-    # The reference: each seen count added to its cell one at a time, then normalised.
     rng = random.Random(88)
     pairs = [random_pair(rng, max_len=10) for _ in range(60)]
     vocab = build_vocab(pairs, 100)
-    sentences = [src for src, _ in pairs[:20]] + [random_pair(rng, max_len=8)[0] for _ in range(10)] + [()]
+    unseen = ("zyx", "wvu")
+    sentences = [src for src, _ in pairs[:20]] + [random_pair(rng, max_len=8)[0] for _ in range(10)] + [(), unseen]
     for width in (0, 1, 2):
         model = train_baseline(pairs, vocab, context_width=width, smoothing=0.3)
-        keys = [key for tokens in sentences for key in _context_keys(tokens, width)]
-        expected = np.full((len(keys), len(vocab)), 0.3)
-        for r, key in enumerate(keys):
-            for col, count in model.counts.get(key, {}).items():
-                expected[r, col] += count
-        expected /= expected.sum(axis=1, keepdims=True)
+        keys, expected = per_hit_rows(model, sentences)
+        # The batch mixes positions whose context was seen and ones whose was not.
+        assert 0 < sum(key in model.counts for key in keys) < len(keys)
         assert np.array_equal(model.predict_batch(sentences).rows, expected)
+        # A lone empty sentence, alone and in a batch of one.
+        assert np.array_equal(model.predict_batch([()]).rows, per_hit_rows(model, [()])[1])
+        untrained = BaselineTagger(vocab, width, 0.3, {})
+        assert np.array_equal(untrained.predict_batch(sentences).rows, per_hit_rows(untrained, sentences)[1])
+        assert np.array_equal(untrained.predict_batch([()]).rows, per_hit_rows(untrained, [()])[1])
+
+
+def test_baseline_rows_equal_the_per_hit_loop_at_a_5000_tag_vocab():
+    # Seen counts scattered over all 5000 columns, some contexts seen with many tags.
+    rng = random.Random(89)
+    vocab = TagVocab(MANDATORY_TAGS + tuple(append(f"w{i}") for i in range(5000 - len(MANDATORY_TAGS))))
+    sentences = [random_pair(rng, max_len=9)[0] for _ in range(40)] + [(), ("zyx", "wvu")]
+    for width in (0, 1, 2):
+        seen = dict.fromkeys(key for tokens in sentences[::2] for key in _context_keys(tokens, width))
+        counts = {key: {col: rng.randint(1, 9) for col in rng.sample(range(5000), rng.choice([1, 3, 200]))} for key in seen}
+        model = BaselineTagger(vocab, width, 0.3, counts)
+        keys, expected = per_hit_rows(model, sentences)
+        assert 0 < sum(key in counts for key in keys) < len(keys)
+        assert np.array_equal(model.predict_batch(sentences).rows, expected)
+
+
+def test_baseline_refuses_counts_outside_its_vocab(small_vocab):
+    for col in (-1, len(small_vocab)):
+        with pytest.raises(ContractError, match=f"outside the vocab's {len(small_vocab)} tags"):
+            BaselineTagger(small_vocab, 1, 1.0, {("a",): {0: 1, col: 2}})
+
+
+def test_a_smoothing_that_overflows_a_row_sum_is_refused_before_encoding(small_vocab, monkeypatch):
+    message = (
+        f"smoothing 1e+308 over a vocab of {len(small_vocab)} tags overflows a row's sum; "
+        "smoothing * vocab size must stay within half the largest float"
+    )
+    with pytest.raises(ContractError) as exc:
+        BaselineTagger(small_vocab, 1, 1e308, {})
+    assert str(exc.value) == message
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("a pair was encoded")
+
+    pairs = [(("He", "go"), ("He", "goes"))]
+    with monkeypatch.context() as patched:
+        patched.setattr(align_module, "encode_tags_batch", no_encoding)
+        with pytest.raises(ContractError) as exc:
+            train_baselines(pairs, small_vocab, [(1, 1.0), (2, 1e308)])
+    assert str(exc.value) == message
+    # The largest smoothing below the bound still predicts rows that sum to 1.
+    largest = 0.99 * sys.float_info.max / 2 / len(small_vocab)
+    rows = train_baseline(pairs, small_vocab, 1, largest).predict(("He", "go")).rows
+    np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=PRODUCER_SUM_TOL)
+
+
+def test_a_row_sum_error_prints_a_plain_float(small_vocab, tmp_path):
+    rows = np.zeros((3, len(small_vocab)))
+    rows[:, small_vocab.keep_index] = [1.0, 0.5, 1.0]
+    with pytest.raises(ContractError) as exc:
+        TagDistribution(small_vocab.sha256, rows, np.zeros(3))
+    assert str(exc.value) == "row 1 sums to 0.5, not 1"
+    path = tmp_path / "m.jsonl"
+    header = {"format": matrix_io.MATRIX_FORMAT, "vocab_sha256": small_vocab.sha256, "vocab_size": len(small_vocab)}
+    record = {"tokens": ["He", "go"], "rows": rows.tolist(), "error_probs": [0.0] * 3}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        read_matrix_file(path, small_vocab)
+    assert str(exc.value) == f"{path}:2: row 1 sums to 0.5, not 1"
 
 
 def test_empty_corpus_gives_uniform_model(small_vocab):
@@ -138,6 +212,25 @@ def test_context_keys_stay_short_at_a_huge_width():
     assert max(map(len, keys)) <= 2 * 4 + 1
 
 
+batch_tokens = st.sampled_from(["a", "b", "c", PAD_MARKER, START_MARKER])
+batch_sentences = st.one_of(
+    st.just(()),
+    st.lists(batch_tokens, min_size=1, max_size=1),
+    st.lists(batch_tokens, min_size=2, max_size=40),
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=st.lists(batch_sentences, max_size=8), width=st.one_of(st.integers(0, 30), st.just(10**5)))
+@example(sentences=[(), ("a",), ("a", "b", "c", "a", "b", "c")], width=3)
+@example(sentences=[("a",) * 40, ()], width=10**5)
+def test_batch_context_keys_equal_the_per_sentence_ones(sentences, width):
+    keys = _batch_context_keys(sentences, width)
+    assert keys == [key for tokens in sentences for key in _context_keys(tokens, width)]
+    if sentences:
+        assert max(map(len, keys)) <= 2 * (max(map(len, sentences)) + 1) + 1
+
+
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 12, 30])
 def test_context_keys_are_as_distinct_as_full_width_ones(width, monkeypatch):
     pairs = make_corpus(120, seed=9)
@@ -148,8 +241,18 @@ def test_context_keys_are_as_distinct_as_full_width_ones(width, monkeypatch):
     # One cut key per full-width key and back: the same contexts meet.
     assert len(set(zip(cut, full))) == len(set(cut)) == len(set(full))
     rows = train_baseline(pairs, vocab, width).predict_batch(sentences).rows
-    monkeypatch.setattr(tagger_module, "_context_keys", _full_width_context_keys)
-    assert np.array_equal(train_baseline(pairs, vocab, width).predict_batch(sentences).rows, rows)
+    batches = []
+
+    def full_width_batch_keys(batch, w):
+        batches.append(list(batch))
+        return [k for s in batch for k in _full_width_context_keys(s, w)]
+
+    monkeypatch.setattr(tagger_module, "_batch_context_keys", full_width_batch_keys)
+    model = train_baseline(pairs, vocab, width)
+    assert np.array_equal(model.predict_batch(sentences).rows, rows)
+    # Full-width keys reached both training (its counts hold only them) and prediction.
+    assert len(batches) == 2 and batches[1] == sentences
+    assert model.counts and all(len(key) == 2 * width + 1 for key in model.counts)
 
 
 def test_baseline_determinism(small_vocab):
