@@ -17,8 +17,8 @@ tally alone as the difference.  The old forms must give the same rows and
 the same counts, in the same order, which the script checks.  It does not
 time any CLI command; ``perfbench/`` is the end-to-end instrument.
 
-On a 2-vCPU Xeon with Python 3.11 and numpy 2.4, prediction ran 1.7-2.1x
-as fast as the old gather and the training tally 1.1-1.2x (best of 3-5
+On a 2-vCPU Xeon with Python 3.11 and numpy 2.4, prediction ran 1.5-2.2x
+as fast as the old gather and the training tally 1.05-1.1x (best of 5
 repeats, two runs).
 
 Usage::
@@ -48,11 +48,11 @@ from deskdata import make_corpus  # noqa: E402
 SHAPES = [(0, 1.0), (1, 1.0), (2, 1.0)]
 
 
-def old_predict_batch(model: BaselineTagger, sentences) -> TagDistribution:
-    """The per-sentence keys and the gather from the nested counts."""
+def old_predict_batch(model: BaselineTagger, counts: dict, sentences) -> TagDistribution:
+    """The per-sentence keys and the gather from the nested counts, plain dicts as the old tagger held them."""
     keys = [key for tokens in sentences for key in _context_keys(tokens, model.context_width)]
     rows = np.full((len(keys), len(model.vocab)), model.smoothing)
-    seen = list(map(model.counts.get, keys, repeat({})))
+    seen = list(map(counts.get, keys, repeat({})))
     sizes = np.fromiter(map(len, seen), dtype=np.intp, count=len(seen))
     hit_rows = np.repeat(np.arange(len(seen), dtype=np.intp), sizes)
     hit_cols = np.fromiter(chain.from_iterable(seen), dtype=np.intp, count=hit_rows.size)
@@ -114,11 +114,12 @@ def main() -> None:
 
     batches = [[sentences[i] for i in chunk] for chunk in _chunks(sentences, max(1, BATCH_ELEMENTS // len(vocab)))]
     for model in models:
+        counts = {key: dict(tags) for key, tags in model.counts.items()}
         for batch in batches:
-            want = old_predict_batch(model, batch)
+            want = old_predict_batch(model, counts, batch)
             got = model.predict_batch(batch)
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.error_probs, want.error_probs)
-        old = best_seconds(lambda: [old_predict_batch(model, batch) for batch in batches], args.repeats)
+        old = best_seconds(lambda: [old_predict_batch(model, counts, batch) for batch in batches], args.repeats)
         new = best_seconds(lambda: [model.predict_batch(batch) for batch in batches], args.repeats)
         print(
             f"predict_batch, cw={model.context_width}, {len(sentences)} sentences in {len(batches)} batches: "

@@ -175,7 +175,7 @@ def encode_tags(
     """
     src = tuple(source)
     tgt = tuple(target)
-    return _tags(src, tgt, _runs(src, tgt), lexicon, {})
+    return _tags(src, tgt, _runs(src, tgt), lexicon)
 
 
 def encode_tags_batch(
@@ -185,35 +185,17 @@ def encode_tags_batch(
     """encode_tags of each ``(source, target)`` pair; each distinct pair is aligned once, all in one batch.
 
     A pair whose sides are equal, as every walk's last pass is, encodes as
-    all KEEP without being aligned.  detect_transform runs once per distinct
-    ``(token, replacement)`` of the call.
+    all KEEP without being aligned.
     """
     pairs = [(tuple(source), tuple(target)) for source, target in pairs]
     distinct = list(dict.fromkeys(pairs))
     tags = {pair: TagSeq([KEEP] * (len(pair[0]) + 1)) for pair in distinct if pair[0] == pair[1]}
     unequal = [pair for pair in distinct if pair not in tags]
-    found: dict[tuple[str, TokenSeq], Tag | None] = {}
-    tags.update((pair, _tags(*pair, runs, lexicon, found)) for pair, runs in zip(unequal, _runs_batch(unequal)))
+    tags.update((pair, _tags(*pair, runs, lexicon)) for pair, runs in zip(unequal, _runs_batch(unequal)))
     return [tags[pair] for pair in pairs]
 
 
-def _transform(
-    token: str, repl: TokenSeq, lexicon: VerbLexicon | None, found: dict[tuple[str, TokenSeq], Tag | None]
-) -> Tag | None:
-    """detect_transform(token, repl, lexicon), looked up in ``found`` first and kept there."""
-    key = (token, repl)
-    if key not in found:
-        found[key] = detect_transform(token, repl, lexicon)
-    return found[key]
-
-
-def _tags(
-    src: TokenSeq,
-    tgt: TokenSeq,
-    runs: list[_Run],
-    lexicon: VerbLexicon | None,
-    found: dict[tuple[str, TokenSeq], Tag | None],
-) -> TagSeq:
+def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon | None) -> TagSeq:
     tags: list[Tag] = [KEEP] * (len(src) + 1)
     for src_start, src_end, tgt_start, tgt_end, codes in runs:
         repl = tgt[tgt_start:tgt_end]
@@ -224,7 +206,7 @@ def _tags(
             if tags[src_start].is_keep:
                 tags[src_start] = append(repl[0])
         elif width == 1:
-            transform = _transform(src[src_start], repl, lexicon, found)
+            transform = detect_transform(src[src_start], repl, lexicon)
             if transform is not None:
                 tags[src_start + 1] = transform
             elif not repl:
@@ -236,7 +218,7 @@ def _tags(
             for code in codes:
                 if code == OP_SUBSTITUTE:
                     one = (tgt[j],)
-                    transform = _transform(src[i], one, lexicon, found)
+                    transform = detect_transform(src[i], one, lexicon)
                     tags[i + 1] = transform if transform is not None else replace(one[0])
                     i += 1
                     j += 1

@@ -13,7 +13,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from typing import Iterable, Protocol, Sequence
+from operator import methodcaller
+from types import MappingProxyType
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -171,33 +173,38 @@ def _context_keys(tokens: TokenSeq, width: int) -> list[tuple[str, ...]]:
 def _batch_context_keys(sentences: Sequence[Sequence[str]], width: int) -> list[tuple[str, ...]]:
     """The _context_keys of every sentence, concatenated, built from one padded stream.
 
-    The sentences stand end to end in one stream, each as [START] + tokens
-    with ``width`` pads before and after, a gap shared by neighbours, so no
-    window centred on a sentence reaches another.  One zip of the stream's
-    shifted slices makes every window, and compress keeps those centred on a
-    START or a token.  The width is first cut to the longest sentence's
-    length + 1, which cuts nothing _context_keys would not; a sentence
-    shorter than that cut width has its keys cut to its own, so it is keyed
-    apart.
+    The width is first cut to the longest sentence's length + 1, which cuts
+    nothing _context_keys would not.  The sentences at least that cut width
+    long stand end to end in one stream, each as [START] + tokens with
+    ``width`` pads before and after, a gap shared by neighbours, so no window
+    centred on a sentence reaches another.  One zip of the stream's shifted
+    slices makes every window, and compress keeps those centred on a START or
+    a token; the gaps' windows, dropped, are at most as many as those kept.
+    A shorter sentence is keyed apart, by _context_keys at its own cut, so
+    no window is ever wider than its sentence's own.
     """
     if not sentences:
         return []
     lengths = list(map(len, sentences))
     width = min(width, max(lengths) + 1)
+    wide = [n + 1 >= width for n in lengths]
+    streamed = list(compress(sentences, wide))
     pad = (PAD_MARKER,) * width
     stream = list(pad)
-    for tokens in sentences:
+    for tokens in streamed:
         stream.append(START_MARKER)
         stream += tokens
         stream += pad
     gap = bytes(width)
-    centred = b"".join(b"\x01" * (n + 1) + gap for n in lengths)
+    centred = b"".join(b"\x01" * (len(tokens) + 1) + gap for tokens in streamed)
     windows = zip(*[islice(stream, i, None) for i in range(2 * width + 1)])
     keys = list(compress(windows, centred))
-    if min(lengths) + 1 < width:
-        for start, tokens in zip(sentence_bounds(lengths), sentences):
-            if len(tokens) + 1 < width:
-                keys[start : start + len(tokens) + 1] = _context_keys(tokens, width)
+    if len(streamed) == len(sentences):
+        return keys
+    streamed_keys = iter(keys)
+    keys = []
+    for tokens, n, in_stream in zip(sentences, lengths, wide):
+        keys += islice(streamed_keys, n + 1) if in_stream else _context_keys(tokens, width)
     return keys
 
 
@@ -213,13 +220,18 @@ class BaselineTagger:
     each context its row, and that row's tag indices and counts (as float64)
     are ``_cols`` and ``_vals`` from ``_indptr[row]`` up to
     ``_indptr[row + 1]``.  Prediction reads only the table, so ``counts``
-    must be complete before the tagger is made.
+    must be complete before the tagger is made.  ``model.counts`` is a
+    read-only view, so it cannot drift from what the tagger predicts from:
+    changing it, a context's tag counts included, raises TypeError.  The
+    context mapping is copied at construction; each context's tag dict is
+    wrapped, not copied, so the dicts the tagger was made from must not be
+    changed afterwards.
     """
 
     vocab: TagVocab
     context_width: int
     smoothing: float
-    counts: dict[tuple[str, ...], dict[int, int]] = field(repr=False)
+    counts: Mapping[tuple[str, ...], Mapping[int, int]] = field(repr=False)
     _ids: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
     _indptr: np.ndarray = field(init=False, repr=False, compare=False)
     _cols: np.ndarray = field(init=False, repr=False, compare=False)
@@ -230,12 +242,24 @@ class BaselineTagger:
         seen = list(self.counts.values())
         indptr = np.fromiter(accumulate(map(len, seen), initial=0), dtype=np.intp, count=len(seen) + 1)
         cols = np.fromiter(chain.from_iterable(seen), dtype=np.intp, count=indptr[-1])
-        vals = np.fromiter(chain.from_iterable(map(dict.values, seen)), dtype=np.float64, count=indptr[-1])
+        vals = np.fromiter(chain.from_iterable(map(methodcaller("values"), seen)), dtype=np.float64, count=indptr[-1])
         if cols.size and not (0 <= cols.min() and cols.max() < len(self.vocab)):
             raise ContractError(f"counts name tag indices outside the vocab's {len(self.vocab)} tags")
-        table = {"_ids": dict(zip(self.counts, count())), "_indptr": indptr, "_cols": cols, "_vals": vals}
+        table = {
+            "counts": MappingProxyType(dict(zip(self.counts, map(MappingProxyType, seen)))),
+            "_ids": dict(zip(self.counts, count())),
+            "_indptr": indptr,
+            "_cols": cols,
+            "_vals": vals,
+        }
         for name, value in table.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle or deep-copy; the tagger is
+        # remade, table and all, from plain dicts.
+        counts = {key: dict(tags) for key, tags in self.counts.items()}
+        return type(self), (self.vocab, self.context_width, self.smoothing, counts)
 
     @staticmethod
     def check_shape(context_width: int, smoothing: float, vocab_size: int | None = None) -> None:

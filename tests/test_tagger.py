@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -231,6 +235,31 @@ def test_batch_context_keys_equal_the_per_sentence_ones(sentences, width):
         assert max(map(len, keys)) <= 2 * (max(map(len, sentences)) + 1) + 1
 
 
+def _peak_bytes(build):
+    """Peak traced memory, in bytes, while ``build()`` runs and its result is alive."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("width", [30, 10**5])
+def test_a_long_sentence_does_not_widen_the_batch_keys_of_short_ones(width):
+    # One 120-token sentence sets the batch's cut width; the short sentences
+    # must still be keyed at their own cut, with no wider window built or held
+    # for them.  Keying each sentence apart is the yardstick.
+    batch = [("b",) * 20] * 100 + [("a",) * 120] + [()] * 50 + [("c",)] * 50
+    apart = _peak_bytes(lambda: [key for tokens in batch for key in _context_keys(tokens, width)])
+    assert _peak_bytes(lambda: _batch_context_keys(batch, width)) <= 1.25 * apart
+
+
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 12, 30])
 def test_context_keys_are_as_distinct_as_full_width_ones(width, monkeypatch):
     pairs = make_corpus(120, seed=9)
@@ -265,6 +294,30 @@ def test_baseline_determinism(small_vocab):
         da, db = a.predict(sent), b.predict(sent)
         assert np.array_equal(da.rows, db.rows)
         assert np.array_equal(da.error_probs, db.error_probs)
+
+
+def test_baseline_counts_are_a_read_only_view_of_what_it_predicts_from(small_vocab):
+    pairs = [(("He", "go"), ("He", "goes")), (("I", "like", "dog"), ("I", "like", "the", "dog"))]
+    trained = train_baseline(pairs, small_vocab, context_width=1)
+    counts = {key: dict(tags) for key, tags in trained.counts.items()}
+    model = BaselineTagger(small_vocab, 1, 1.0, counts)
+    sentence = ("He", "go")
+    rows = model.predict(sentence).rows
+    key = next(iter(counts))
+    with pytest.raises(TypeError):
+        model.counts[key] = {0: 1}
+    with pytest.raises(TypeError):
+        model.counts[key][0] = 1
+    # The context mapping it was made from is copied: dropping contexts from it changes nothing.
+    counts.clear()
+    assert model.counts == trained.counts and model == trained
+    assert np.array_equal(model.predict(sentence).rows, rows)
+    # A tagger remade from another's counts, by replace, a pickle or a deep copy, predicts the same.
+    remade = [dataclasses.replace(model), copy.deepcopy(model)]
+    remade += [pickle.loads(pickle.dumps(model, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in remade:
+        assert back == model
+        assert np.array_equal(back.predict(sentence).rows, rows)
 
 
 @pytest.mark.parametrize("with_lexicon", [False, True])
