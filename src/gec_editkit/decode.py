@@ -17,6 +17,7 @@ this module re-exports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ContractError
 from .spans import TokenSeq
 from .tags import KEEP, TagSeq
-from .tagger import TagDistribution, Tagger, predict_stack
+from .tagger import TagDistribution, Tagger
 from .transforms import VerbLexicon, apply_tags
 from .vocab import TagVocab
 
@@ -52,8 +53,11 @@ class Hyperparams:
             raise ContractError(f"ac must lie in [0, 1], got {self.ac}")
         if not 0.0 <= self.mep <= 1.0:
             raise ContractError(f"mep must lie in [0, 1], got {self.mep}")
-        if self.max_iters < 1:
-            raise ContractError(f"max_iters must be >= 1, got {self.max_iters}")
+        try:
+            if index(self.max_iters) < 1:
+                raise ContractError(f"max_iters must be >= 1, got {self.max_iters}")
+        except TypeError:
+            raise ContractError(f"max_iters must be an integer, got {self.max_iters!r}") from None
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def run_pipeline_batch(
     Deterministic for a fixed tagger and input; each result is what
     run_pipeline gives for that sentence alone.
     """
-    return decode_iteratively(lambda active: predict_stack(tagger, active), tagger.vocab, sentences, hp, lexicon)
+    return decode_iteratively(tagger.predict_batch, tagger.vocab, sentences, hp, lexicon)
 
 
 def run_pipeline(
@@ -176,5 +180,9 @@ def run_pipeline(
     hp: Hyperparams = Hyperparams(),
     lexicon: VerbLexicon | None = None,
 ) -> CorrectionResult:
-    """Iteratively correct one sentence with one tagger: a batch of one."""
-    return run_pipeline_batch(tagger, [tokens], hp, lexicon)[0]
+    """Iteratively correct one sentence with one tagger: a batch of one.
+
+    The one decoder that calls ``tagger.predict``, not ``predict_batch``, so
+    a wrapper that offers only ``predict`` (perfbench's recorder) decodes.
+    """
+    return decode_iteratively(lambda active: tagger.predict(active[0]), tagger.vocab, [tokens], hp, lexicon)[0]

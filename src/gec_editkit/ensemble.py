@@ -19,7 +19,7 @@ from .align import extract_edits, extract_edits_batch
 from .decode import Hyperparams, decode_iteratively
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, apply_edits, edits_conflict
-from .tagger import TagDistribution, Tagger, predict_stack
+from .tagger import TagDistribution, Tagger
 from .transforms import VerbLexicon
 
 # vote_correct_batch votes this many distinct rows at a time.  With three
@@ -169,7 +169,7 @@ def average_correct_batch(
             raise ContractError(f"member {i} uses a different tag vocabulary; averaging requires identical vocabs")
 
     def predict_batch(active: list[TokenSeq]) -> TagDistribution:
-        return average_distributions([predict_stack(t, active) for t in taggers])
+        return average_distributions([t.predict_batch(active) for t in taggers])
 
     return [r.output for r in decode_iteratively(predict_batch, vocab, sentences, hp, lexicon)]
 

@@ -1,4 +1,4 @@
-"""Taggers: anything mapping a token sequence to per-position tag probabilities.
+"""Taggers: anything mapping a batch of token sequences to per-position tag probabilities.
 
 Two implementations ship here.  MatrixTagger serves distributions produced by
 an external (neural) model from a matrix file; BaselineTagger is a count-based
@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import methodcaller
+from operator import index, methodcaller
 from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -60,9 +60,12 @@ class TagDistribution:
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
         err = np.asarray(self.error_probs, dtype=np.float64)
-        starts = np.array(self.starts, dtype=np.intp, ndmin=1)
+        starts = np.array(self.starts, ndmin=1)
         if starts.ndim != 1 or not starts.size:
             raise ContractError(f"starts must be a non-empty 1-D array, got shape {starts.shape}")
+        if starts.dtype.kind not in "iu":
+            raise ContractError(f"starts must be integers, got {starts.dtype}")
+        starts = starts.astype(np.intp, copy=False)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ContractError(f"rows must be a 2-D matrix with at least the START row, got shape {rows.shape}")
         if err.shape != (rows.shape[0],):
@@ -115,47 +118,20 @@ class TagDistribution:
             i = int(np.argmax(sizes != np.diff(bounds)))
             raise ContractError(f"{what} has {sizes[i]} rows for {lengths[i]} tokens in sentence {i}, not tokens + 1")
 
-    @classmethod
-    def stack(cls, dists: Sequence["TagDistribution"]) -> "TagDistribution":
-        """The rows of ``dists`` stacked in order, each input's sentences kept apart."""
-        if not dists:
-            raise ContractError("need at least one distribution")
-        head = dists[0]
-        for i, d in enumerate(dists[1:], start=1):
-            if d.vocab_id != head.vocab_id:
-                raise ContractError(f"distribution {i} uses vocab {d.vocab_id[:12]}..., distribution 0 uses {head.vocab_id[:12]}...")
-        offsets = accumulate((d.positions for d in dists[:-1]), initial=0)
-        starts = np.concatenate([d.starts + offset for d, offset in zip(dists, offsets)])
-        rows = np.concatenate([d.rows for d in dists])
-        return cls(head.vocab_id, rows, np.concatenate([d.error_probs for d in dists]), starts)
-
 
 class Tagger(Protocol):
-    """The pluggable prediction boundary used by the decoding pipeline.
+    """The one prediction boundary between a tagger and the decoders.
 
-    A tagger may also offer ``predict_batch(sentences) -> TagDistribution``,
-    one call for many sentences stacked; predict_stack serves those that do
-    not.
+    Every batch decoder calls ``predict_batch(sentences)``, which stacks the
+    sentences' rows over ``vocab`` in one TagDistribution (sentence_bounds).
+    ``predict(tokens)`` is the batch of one; only decode.run_pipeline calls it.
     """
 
     vocab: TagVocab
 
     def predict(self, tokens: Sequence[str]) -> TagDistribution: ...
 
-
-def predict_stack(tagger: Tagger, sentences: Sequence[TokenSeq]) -> TagDistribution:
-    """``tagger.predict_batch(sentences)``, or its ``predict`` results stacked."""
-    batched = getattr(tagger, "predict_batch", None)
-    if batched is not None:
-        return batched(sentences)
-    return TagDistribution.stack([tagger.predict(tokens) for tokens in sentences])
-
-
-def keep_certain_distribution(vocab: TagVocab, n_tokens: int) -> TagDistribution:
-    """All probability mass on KEEP at every position: the do-nothing prediction."""
-    rows = np.zeros((n_tokens + 1, len(vocab)))
-    rows[:, vocab.keep_index] = 1.0
-    return TagDistribution(vocab.sha256, rows, np.zeros(n_tokens + 1))
+    def predict_batch(self, sentences: Sequence[Sequence[str]]) -> TagDistribution: ...
 
 
 def _context_keys(tokens: TokenSeq, width: int) -> list[tuple[str, ...]]:
@@ -269,8 +245,11 @@ class BaselineTagger:
         many tags, ``smoothing * vocab_size``, exceeds half the largest float:
         such a row overflows when it is normalised.
         """
-        if context_width < 0:
-            raise ContractError("context_width must be >= 0")
+        try:
+            if index(context_width) < 0:
+                raise ContractError("context_width must be >= 0")
+        except TypeError:
+            raise ContractError(f"context_width must be an integer, got {context_width!r}") from None
         if not (smoothing > 0.0 and math.isfinite(smoothing)):
             raise ContractError("smoothing must be positive and finite so unseen contexts stay normalized")
         if vocab_size is not None and smoothing * vocab_size > sys.float_info.max / 2:
@@ -364,23 +343,35 @@ class MatrixTagger:
     Lookup is by exact token sequence, so a sentence may have only one
     record.  Sentences absent from the file (for example intermediates
     produced mid-pipeline that the external model never scored) predict KEEP
-    everywhere, which simply stops the iteration.
+    everywhere, with error probability 0, which simply stops the iteration.
     """
 
     vocab: TagVocab
     table: dict[TokenSeq, TagDistribution]
 
+    def __post_init__(self) -> None:
+        for tokens, dist in self.table.items():
+            dist.check_fits(self.vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
+
     def predict(self, tokens: Sequence[str]) -> TagDistribution:
-        hit = self.table.get(tuple(tokens))
-        if hit is not None:
-            return hit
-        return keep_certain_distribution(self.vocab, len(tokens))
+        return self.predict_batch([tokens])
+
+    def predict_batch(self, sentences: Sequence[Sequence[str]]) -> TagDistribution:
+        bounds = sentence_bounds(map(len, sentences))
+        rows = np.zeros((bounds[-1], len(self.vocab)))
+        rows[:, self.vocab.keep_index] = 1.0
+        err = np.zeros(bounds[-1])
+        for tokens, lo, hi in zip(sentences, bounds, bounds[1:]):
+            hit = self.table.get(tuple(tokens))
+            if hit is not None:
+                rows[lo:hi] = hit.rows
+                err[lo:hi] = hit.error_probs
+        return TagDistribution(self.vocab.sha256, rows, err, bounds[:-1])
 
     @classmethod
     def from_records(cls, vocab: TagVocab, records: Iterable[tuple[TokenSeq, TagDistribution]]) -> "MatrixTagger":
         table: dict[TokenSeq, TagDistribution] = {}
         for tokens, dist in records:
-            dist.check_fits(vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
             key = tuple(tokens)
             if key in table:
                 raise ContractError(f"repeated record for {' '.join(key)!r}")

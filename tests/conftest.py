@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gec_editkit import TagDistribution, TagVocab, VerbLexicon, build_vocab, encode_tags
-from gec_editkit.tagger import Tagger
+from gec_editkit.tagger import Tagger, sentence_bounds
 
 
 @pytest.fixture(scope="session")
@@ -21,12 +21,15 @@ class OracleTagger:
         self.lexicon = lexicon
 
     def predict(self, tokens) -> TagDistribution:
-        tags = encode_tags(tokens, self.target, self.lexicon)
+        return self.predict_batch([tokens])
+
+    def predict_batch(self, sentences) -> TagDistribution:
+        tags = [tag for tokens in sentences for tag in encode_tags(tokens, self.target, self.lexicon)]
         rows = np.zeros((len(tags), len(self.vocab)))
         for p, tag in enumerate(tags):
             rows[p, self.vocab.index_of(tag)] = 1.0
         error_probs = 1.0 - rows[:, self.vocab.keep_index]
-        return TagDistribution(self.vocab.sha256, rows, error_probs)
+        return TagDistribution(self.vocab.sha256, rows, error_probs, sentence_bounds(map(len, sentences))[:-1])
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import random
 import numpy as np
 
 from gec_editkit import EditSpan, InapplicableTransformError, TagDistribution, TagVocab, VerbLexicon
+from gec_editkit.tagger import sentence_bounds
 from gec_editkit.tags import (
     MERGE,
     SPLIT_HYPHEN,
@@ -149,6 +150,13 @@ def random_distribution(rng: random.Random, vocab: TagVocab, n_tokens: int) -> T
     rows /= rows.sum(axis=1, keepdims=True)
     error_probs = npr.uniform(size=n_tokens + 1)
     return TagDistribution(vocab.sha256, rows, error_probs)
+
+
+def as_batch(dists: list[TagDistribution]) -> TagDistribution:
+    """One-sentence distributions' rows in order, each still a sentence of its own, as predict_batch returns them."""
+    rows = np.concatenate([d.rows for d in dists])
+    error_probs = np.concatenate([d.error_probs for d in dists])
+    return TagDistribution(dists[0].vocab_id, rows, error_probs, sentence_bounds(d.positions - 1 for d in dists)[:-1])
 
 
 def random_edit_list(rng: random.Random, source_len: int) -> list[EditSpan]:

@@ -19,6 +19,7 @@ from gec_editkit import (
     CorrectionResult,
     Hyperparams,
     TagDistribution,
+    TagVocab,
     apply_tags,
     average_correct_batch,
     average_distributions,
@@ -28,11 +29,12 @@ from gec_editkit import (
 )
 from gec_editkit import decode
 from gec_editkit.decode import _chunks
-from gec_editkit.tagger import predict_stack
-from gec_editkit.tags import DELETE, KEEP, TagSeq
+from gec_editkit.tagger import MatrixTagger, sentence_bounds
+from gec_editkit.tags import DELETE, KEEP, TagSeq, append
+from gec_editkit.vocab import MANDATORY_TAGS
 
 from deskdata import make_corpus
-from gen import random_distribution
+from gen import as_batch, random_distribution
 
 TRAIN = make_corpus(300, seed=41)
 VOCAB = build_vocab(TRAIN, 5000)
@@ -43,13 +45,16 @@ WORDS = sorted({tok for pair in TRAIN for side in pair for tok in side}) + ["zzz
 
 
 class RandomTagger:
-    """A fixed random distribution per token tuple; has predict only."""
+    """A fixed random distribution per token tuple; a batch stacks them."""
 
     vocab = VOCAB
 
     def predict(self, tokens):
         seed = zlib.crc32(" ".join(tokens).encode("utf-8"))
         return random_distribution(random.Random(seed), self.vocab, len(tokens))
+
+    def predict_batch(self, sentences):
+        return as_batch([self.predict(tokens) for tokens in sentences])
 
 
 def reference_select(dist, vocab, ac, mep):
@@ -128,7 +133,7 @@ def sentences_with_repeats(draw):
 
 
 class CountingTagger:
-    """Wraps a tagger, batched or not, and counts the sentences it is asked to predict."""
+    """Wraps a tagger and counts the sentences it is asked to predict."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -137,7 +142,7 @@ class CountingTagger:
 
     def predict_batch(self, sentences):
         self.predicted += len(sentences)
-        return predict_stack(self.inner, sentences)
+        return self.inner.predict_batch(sentences)
 
 
 @pytest.mark.parametrize("k", [1, 7, 512])
@@ -215,6 +220,39 @@ def test_baseline_predict_batch_equals_predict(cw, sm):
         assert np.array_equal(batch.error_probs[lo:hi], alone.error_probs)
 
 
+WIDE = TagVocab(MANDATORY_TAGS + tuple(append(f"w{i}") for i in range(5000 - len(MANDATORY_TAGS))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pool=st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=5).map(tuple), min_size=1, max_size=4, unique=True
+    ),
+    data=st.data(),
+)
+def test_matrix_predict_batch_equals_its_predicts_stacked(pool, data):
+    # The empty sentence is in every pool; hits are a drawn part of it, and
+    # a batch of 1-8 draws from it repeats, mixing hits and misses.
+    pool = [(), *pool]
+    hits = data.draw(st.lists(st.sampled_from(pool), unique=True))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    model = MatrixTagger.from_records(WIDE, [(tokens, random_distribution(rng, WIDE, len(tokens))) for tokens in hits])
+    sentences = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    batch = model.predict_batch(sentences)
+    assert batch.starts.tolist() == sentence_bounds(map(len, sentences))[:-1]
+    alone = [model.predict(tokens) for tokens in sentences]
+    assert np.array_equal(batch.rows, np.concatenate([d.rows for d in alone]))
+    assert np.array_equal(batch.error_probs, np.concatenate([d.error_probs for d in alone]))
+    keep = np.zeros(len(WIDE))
+    keep[WIDE.keep_index] = 1.0
+    for tokens, d in zip(sentences, alone):
+        record = model.table.get(tokens)
+        if record is None:
+            assert (d.rows == keep).all() and not d.error_probs.any()
+        else:
+            assert np.array_equal(d.rows, record.rows) and np.array_equal(d.error_probs, record.error_probs)
+
+
 @pytest.mark.parametrize("corrupt", ["nan", "negative", "sum"])
 def test_batch_check_fails_as_the_sentence_would_alone(corrupt):
     rng = random.Random(5)
@@ -239,7 +277,7 @@ def test_batch_check_fails_as_the_sentence_would_alone(corrupt):
 
 def test_batch_rejects_starts_that_do_not_split_its_rows():
     rng = random.Random(6)
-    stack = TagDistribution.stack([random_distribution(rng, VOCAB, n) for n in (2, 4)])
+    stack = as_batch([random_distribution(rng, VOCAB, n) for n in (2, 4)])
     for starts in ([1, 3], [0, 0], [0, 3, 2], [0, 9], []):
         with pytest.raises(ContractError):
             TagDistribution(VOCAB.sha256, stack.rows, stack.error_probs, starts)
@@ -249,8 +287,8 @@ def test_decoder_rejects_rows_that_do_not_fit_the_sentences():
     class ShortTagger:
         vocab = VOCAB
 
-        def predict(self, tokens):
-            return random_distribution(random.Random(0), VOCAB, len(tokens) + 1)
+        def predict_batch(self, sentences):
+            return as_batch([random_distribution(random.Random(0), VOCAB, len(tokens) + 1) for tokens in sentences])
 
     with pytest.raises(ContractError, match="tokens \\+ 1"):
         run_pipeline_batch(ShortTagger(), [("a", "b")])

@@ -18,7 +18,7 @@ from gec_editkit import (
 )
 from gec_editkit.cli import main
 from gec_editkit.corpus import M2Block, M2Edit
-from gec_editkit.tagger import keep_certain_distribution
+from gec_editkit.tagger import MatrixTagger
 
 from deskdata import make_corpus
 
@@ -623,7 +623,7 @@ def test_matrix_file_with_a_repeated_sentence_fails_at_its_line(workspace, capsy
     vocab = read_vocab_file(vocab_path)
     sentence = read_sentences(eval_txt)[0]
     matrix_path = tmp_path / "external.jsonl"
-    write_matrix_file(matrix_path, vocab, [(sentence, keep_certain_distribution(vocab, len(sentence)))])
+    write_matrix_file(matrix_path, vocab, [(sentence, MatrixTagger(vocab, {}).predict(sentence))])
     header, record = matrix_path.read_text(encoding="utf-8").splitlines()
     matrix_path.write_text("\n".join([header, record, record]) + "\n", encoding="utf-8")
 

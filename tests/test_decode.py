@@ -15,7 +15,7 @@ from gec_editkit import (
 )
 from gec_editkit.tags import KEEP, Tag, TagKind, TagSeq, append, parse_tag, replace
 
-from gen import random_distribution, random_tokens, random_vocab
+from gen import as_batch, random_distribution, random_tokens, random_vocab
 
 
 def one_hot_dist(vocab, picks, error_probs=None):
@@ -117,7 +117,7 @@ def test_vocab_mismatch_is_contract_error(vocab):
 
 def test_select_tags_refuses_stacked_sentences(vocab):
     rng = random.Random(11)
-    stacked = TagDistribution.stack([random_distribution(rng, vocab, 1), random_distribution(rng, vocab, 2)])
+    stacked = as_batch([random_distribution(rng, vocab, 1), random_distribution(rng, vocab, 2)])
     assert stacked.rows.shape[0] == 5
     with pytest.raises(ContractError, match="select_batch"):
         select_tags(stacked, vocab)
@@ -225,6 +225,10 @@ def test_hyperparams_validation():
         Hyperparams(mep=-0.1)
     with pytest.raises(ContractError):
         Hyperparams(max_iters=0)
+    for bad in (2.5, "3", None):
+        with pytest.raises(ContractError, match="max_iters must be an integer"):
+            Hyperparams(max_iters=bad)
+    assert Hyperparams(max_iters=np.int64(2)).max_iters == 2
 
 
 def test_tagseq_returned(vocab):

@@ -26,7 +26,7 @@ from gec_editkit import ensemble
 from gec_editkit.ensemble import _orderless_mean
 
 from average_oracle import orderless_mean
-from gen import mutate, random_distribution, random_tokens, random_vocab
+from gen import as_batch, mutate, random_distribution, random_tokens, random_vocab
 
 
 @pytest.fixture
@@ -71,7 +71,7 @@ def test_average_permutation_invariance(vocab):
         return random_distribution(rng, vocab, 3)
 
     def stacked():
-        return TagDistribution.stack([random_distribution(rng, vocab, n) for n in (0, 2, 1)])
+        return as_batch([random_distribution(rng, vocab, n) for n in (0, 2, 1)])
 
     for make in [single] * 30 + [stacked] * 10:
         dists = [make() for _ in range(4)]
@@ -140,7 +140,7 @@ def test_mean_of_a_sentence_does_not_depend_on_its_batch(vocab):
     empty = [TagDistribution(vocab.sha256, keep, [p]) for p in probs]
     other = TagDistribution(vocab.sha256, np.vstack([keep, keep]), [0.1, 0.2])
     alone = average_distributions(empty)
-    stacked = average_distributions([TagDistribution.stack([d, other]) for d in empty])
+    stacked = average_distributions([as_batch([d, other]) for d in empty])
     assert alone.error_probs.tolist() == stacked.error_probs[:1].tolist() == [0.42499999999999993]
     assert np.array_equal(alone.rows, stacked.rows[:1])
 

@@ -153,3 +153,32 @@ def test_only_align_and_the_m2_reader_build_unchecked_spans():
     assert _uses(trees["spans"], "_span"), "the builder's own module does not name it"
     users = {name for name, tree in trees.items() if name != "spans" and _uses(tree, "_span")}
     assert users == {"align", "corpus"}
+
+
+def _definition(tree, kind, name):
+    """The ``kind`` (ast.ClassDef, ast.FunctionDef) named ``name`` in ``tree``."""
+    return next(node for node in ast.walk(tree) if isinstance(node, kind) and node.name == name)
+
+
+def _attributes(tree, name):
+    """The ``.name`` attribute nodes in ``tree``: every ``x.name``, called or not."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_taggers_are_met_through_predict_batch():
+    # Every batch decoder calls a tagger's predict_batch; only run_pipeline,
+    # the one-sentence entry, calls predict.  No module looks a tagger's
+    # methods up by name (getattr, hasattr, methodcaller), so no tagger can
+    # be served by a fallback for a method it lacks.
+    trees = _trees()
+    protocol = _definition(trees["tagger"], ast.ClassDef, "Tagger")
+    methods = {node.name for node in protocol.body if isinstance(node, ast.FunctionDef)}
+    assert methods == {"predict", "predict_batch"}
+    run_pipeline = _definition(trees["decode"], ast.FunctionDef, "run_pipeline")
+    assert len(_attributes(run_pipeline, "predict")) == 1, "run_pipeline no longer predicts through predict"
+    users = {name: len(_attributes(tree, "predict")) for name, tree in trees.items() if _attributes(tree, "predict")}
+    assert users == {"decode": 1}, f".predict outside decode.run_pipeline: {users}"
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in methods:
+                raise AssertionError(f"{name} names the tagger method {node.value!r} in a string at line {node.lineno}")

@@ -21,6 +21,7 @@ from gec_editkit import (
     build_vocab,
     read_matrix_file,
     run_pipeline,
+    run_pipeline_batch,
     VerbLexicon,
     train_baseline,
     train_baselines,
@@ -37,14 +38,13 @@ from gec_editkit.tagger import (
     MatrixTagger,
     _batch_context_keys,
     _context_keys,
-    keep_certain_distribution,
 )
 from gec_editkit.tags import append, replace
 from gec_editkit.vocab import MANDATORY_TAGS, count_edit_tags
 
 import train_oracle
 from deskdata import make_corpus
-from gen import mutate, random_distribution, random_pair, random_vocab
+from gen import as_batch, mutate, random_distribution, random_pair, random_vocab
 
 
 @pytest.fixture
@@ -71,6 +71,19 @@ def test_distribution_rejects_bad_shapes(small_vocab):
         TagDistribution(small_vocab.sha256, [[0.9] + [0.3] * (v - 1)], [0.0])
     with pytest.raises(ContractError):
         TagDistribution(small_vocab.sha256, [[1.5] + [0.0] * (v - 1)], [0.0])
+
+
+def test_distribution_refuses_non_integer_starts(small_vocab):
+    # Two sentences, of 0 and 1 tokens: rows [0, 1) and [1, 3).
+    rng = random.Random(88)
+    batch = as_batch([random_distribution(rng, small_vocab, 0), random_distribution(rng, small_vocab, 1)])
+    for starts in ((0, 1.7), [0.0, 1.0], [False, True], ["0", "1"]):
+        with pytest.raises(ContractError, match="starts must be integers"):
+            TagDistribution(small_vocab.sha256, batch.rows, batch.error_probs, starts)
+    with pytest.raises(ContractError, match=r"^starts must be a non-empty 1-D array, got shape \(0,\)$"):
+        TagDistribution(small_vocab.sha256, batch.rows, batch.error_probs, [])
+    unsigned = TagDistribution(small_vocab.sha256, batch.rows, batch.error_probs, np.array([0, 1], dtype=np.uint8))
+    assert unsigned.starts.dtype == np.intp and unsigned.starts.tolist() == [0, 1]
 
 
 def test_untrained_baseline_predicts_uniform(small_vocab):
@@ -150,6 +163,17 @@ def test_baseline_refuses_counts_outside_its_vocab(small_vocab):
     for col in (-1, len(small_vocab)):
         with pytest.raises(ContractError, match=f"outside the vocab's {len(small_vocab)} tags"):
             BaselineTagger(small_vocab, 1, 1.0, {("a",): {0: 1, col: 2}})
+
+
+def test_baseline_refuses_a_non_integer_context_width(small_vocab):
+    with pytest.raises(ContractError, match="^context_width must be an integer, got 1.5$"):
+        BaselineTagger(small_vocab, 1.5, 1.0, {})
+    pairs = [(("He", "go"), ("He", "goes"))]
+    with pytest.raises(ContractError, match="^context_width must be an integer, got '2'$"):
+        train_baselines(pairs, small_vocab, [(1, 1.0), ("2", 1.0)])
+    # A numpy integer is an integer.
+    wide = BaselineTagger(small_vocab, np.int64(2), 1.0, {})
+    assert np.array_equal(wide.predict(("He", "go")).rows, BaselineTagger(small_vocab, 2, 1.0, {}).predict(("He", "go")).rows)
 
 
 def test_a_smoothing_that_overflows_a_row_sum_is_refused_before_encoding(small_vocab, monkeypatch):
@@ -414,11 +438,13 @@ def test_error_probs_are_one_minus_keep(small_vocab):
     np.testing.assert_allclose(d.error_probs, 1.0 - d.rows[:, small_vocab.keep_index])
 
 
-def test_keep_certain_distribution_decodes_to_identity(small_vocab):
+def test_matrix_tagger_miss_decodes_to_identity(small_vocab):
     model = MatrixTagger(small_vocab, {})
     res = run_pipeline(model, ("He", "go"))
     assert res.output == ("He", "go")
     assert res.iterations_used == 1
+    batch = run_pipeline_batch(model, [("He", "go"), (), ("He", "go")])
+    assert [(r.output, r.iterations_used) for r in batch] == [(("He", "go"), 1), ((), 1), (("He", "go"), 1)]
 
 
 def test_matrix_round_trip(tmp_path):
@@ -450,9 +476,12 @@ def test_matrix_tagger_serves_exact_rows(tmp_path, small_vocab):
     write_matrix_file(path, small_vocab, [(tokens, dist)])
     tagger = MatrixTagger.from_records(small_vocab, read_matrix_file(path, small_vocab))
     assert np.array_equal(tagger.predict(tokens).rows, dist.rows)
-    # unseen sentence falls back to the do-nothing prediction
+    # unseen sentence falls back to the do-nothing prediction: all mass on KEEP, no error
     fallback = tagger.predict(("new", "sentence"))
-    assert np.array_equal(fallback.rows, keep_certain_distribution(small_vocab, 2).rows)
+    keep = np.zeros((3, len(small_vocab)))
+    keep[:, small_vocab.keep_index] = 1.0
+    assert np.array_equal(fallback.rows, keep)
+    assert np.array_equal(fallback.error_probs, np.zeros(3))
 
 
 def test_matrix_errors_carry_line_numbers(tmp_path, small_vocab):
@@ -641,7 +670,7 @@ def test_matrix_write_rejects_foreign_records(tmp_path, small_vocab):
 def test_matrix_write_refuses_a_record_of_stacked_sentences(tmp_path, small_vocab):
     # Two empty sentences stacked have the two rows one token needs.
     rng = random.Random(81)
-    stacked = TagDistribution.stack([random_distribution(rng, small_vocab, 0) for _ in range(2)])
+    stacked = as_batch([random_distribution(rng, small_vocab, 0) for _ in range(2)])
     path = tmp_path / "m.jsonl"
     with pytest.raises(ContractError, match="stacks 2 sentences"):
         write_matrix_file(path, small_vocab, [(("one",), stacked)])
@@ -650,7 +679,7 @@ def test_matrix_write_refuses_a_record_of_stacked_sentences(tmp_path, small_voca
 
 def test_matrix_tagger_refuses_a_record_of_stacked_sentences(small_vocab):
     rng = random.Random(82)
-    stacked = TagDistribution.stack([random_distribution(rng, small_vocab, 0) for _ in range(2)])
+    stacked = as_batch([random_distribution(rng, small_vocab, 0) for _ in range(2)])
     with pytest.raises(ContractError, match="stacks 2 sentences"):
         MatrixTagger.from_records(small_vocab, [(("one",), stacked)])
 
@@ -701,6 +730,9 @@ def test_matrix_tagger_refuses_a_record_of_the_wrong_width(small_vocab):
     good = (("a",), random_distribution(rng, small_vocab, 1))
     with pytest.raises(ContractError, match="record for 'He go' has rows of width"):
         MatrixTagger.from_records(small_vocab, [good, (("He", "go"), _narrow_distribution(small_vocab, 2))])
+    # Made directly, too: predict_batch copies every record's rows as they are.
+    with pytest.raises(ContractError, match="record for 'He go' has rows of width"):
+        MatrixTagger(small_vocab, dict([good, (("He", "go"), _narrow_distribution(small_vocab, 2))]))
 
 
 def test_matrix_write_refuses_a_record_of_the_wrong_width(tmp_path, small_vocab):
