@@ -34,7 +34,7 @@ from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, _span, validate_tokens
-from .tags import DELETE, KEEP, Tag, TagSeq, append, replace
+from .tags import DELETE, KEEP, Tag, TagSeq, _tag_seq, append, replace
 from .transforms import VerbLexicon, apply_tags, detect_transform
 
 _DELETE = bytes([OP_DELETE])
@@ -175,7 +175,7 @@ def encode_tags(
     """
     src = tuple(source)
     tgt = tuple(target)
-    return _tags(src, tgt, _runs(src, tgt), lexicon)
+    return _tags(src, tgt, _runs(src, tgt), lexicon, {})
 
 
 def encode_tags_batch(
@@ -185,17 +185,35 @@ def encode_tags_batch(
     """encode_tags of each ``(source, target)`` pair; each distinct pair is aligned once, all in one batch.
 
     A pair whose sides are equal, as every walk's last pass is, encodes as
-    all KEEP without being aligned.
+    all KEEP without being aligned.  Each distinct ``(token, replacement)``
+    substitution goes through detect_transform once for the whole batch.
     """
     pairs = [(tuple(source), tuple(target)) for source, target in pairs]
     distinct = list(dict.fromkeys(pairs))
-    tags = {pair: TagSeq([KEEP] * (len(pair[0]) + 1)) for pair in distinct if pair[0] == pair[1]}
+    tags = {pair: _tag_seq([KEEP] * (len(pair[0]) + 1)) for pair in distinct if pair[0] == pair[1]}
     unequal = [pair for pair in distinct if pair not in tags]
-    tags.update((pair, _tags(*pair, runs, lexicon)) for pair, runs in zip(unequal, _runs_batch(unequal)))
+    substitutions: dict[tuple[str, TokenSeq], Tag] = {}
+    tags.update(
+        (pair, _tags(*pair, runs, lexicon, substitutions)) for pair, runs in zip(unequal, _runs_batch(unequal))
+    )
     return [tags[pair] for pair in pairs]
 
 
-def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon | None) -> TagSeq:
+def _substitution(token: str, repl: TokenSeq, lexicon: VerbLexicon | None) -> Tag:
+    """The tag replacing ``token`` by ``repl``: a transform if one fits, else REPLACE by its first token."""
+    transform = detect_transform(token, repl, lexicon)
+    return replace(repl[0]) if transform is None else transform
+
+
+def _tags(
+    src: TokenSeq,
+    tgt: TokenSeq,
+    runs: list[_Run],
+    lexicon: VerbLexicon | None,
+    substitutions: dict[tuple[str, TokenSeq], Tag],
+) -> TagSeq:
+    """The tags of one pass.  ``substitutions`` maps each ``(token,
+    replacement)`` met so far to its _substitution tag and gets the new ones."""
     tags: list[Tag] = [KEEP] * (len(src) + 1)
     for src_start, src_end, tgt_start, tgt_end, codes in runs:
         repl = tgt[tgt_start:tgt_end]
@@ -205,21 +223,23 @@ def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon |
             # whose tag slot is still free.
             if tags[src_start].is_keep:
                 tags[src_start] = append(repl[0])
+        elif width == 1 and not repl:  # no transform deletes
+            tags[src_start + 1] = DELETE
         elif width == 1:
-            transform = detect_transform(src[src_start], repl, lexicon)
-            if transform is not None:
-                tags[src_start + 1] = transform
-            elif not repl:
-                tags[src_start + 1] = DELETE
-            else:
-                tags[src_start + 1] = replace(repl[0])
+            key = (src[src_start], repl)
+            tag = substitutions.get(key)
+            if tag is None:
+                tag = substitutions[key] = _substitution(*key, lexicon)
+            tags[src_start + 1] = tag
         else:
             i, j = src_start, tgt_start
             for code in codes:
                 if code == OP_SUBSTITUTE:
-                    one = (tgt[j],)
-                    transform = detect_transform(src[i], one, lexicon)
-                    tags[i + 1] = transform if transform is not None else replace(one[0])
+                    key = (src[i], tgt[j:j + 1])
+                    tag = substitutions.get(key)
+                    if tag is None:
+                        tag = substitutions[key] = _substitution(*key, lexicon)
+                    tags[i + 1] = tag
                     i += 1
                     j += 1
                 elif code == OP_DELETE:
@@ -229,7 +249,7 @@ def _tags(src: TokenSeq, tgt: TokenSeq, runs: list[_Run], lexicon: VerbLexicon |
                     if tags[i].is_keep:
                         tags[i] = append(tgt[j])
                     j += 1
-    return TagSeq(tags)
+    return _tag_seq(tags)
 
 
 def count_passes(

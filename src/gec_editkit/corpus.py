@@ -212,10 +212,23 @@ class M2Block:
 
 
 def read_m2(path: str | Path) -> list[M2Block]:
+    """The blocks of an M2 file, each ``A`` line checked field by field.
+
+    Gold files repeat the same spans, annotator ids and replacements many
+    times, so each distinct field is parsed and checked once per file: a span
+    field's bounds, an annotator field's id and a replacement field's tokens
+    are kept once they have passed their checks, and a later line with the
+    same field reuses them.  Checks that depend on the line's block (the span
+    within the source, noop rules) run on every line.
+    """
     blocks: list[M2Block] = []
     source: TokenSeq | None = None
     annotations: dict[int, list[M2Edit]] = {}
     noop_seen: set[int] = set()
+    # Fields that passed their checks, with what they parsed to.
+    spans: dict[str, tuple[int, int]] = {}
+    annotators: dict[str, int] = {}
+    replacements: dict[str, TokenSeq] = {_NONE_FIELD: ()}
 
     def close() -> None:
         nonlocal source, annotations, noop_seen
@@ -227,6 +240,51 @@ def read_m2(path: str | Path) -> list[M2Block]:
 
     with read_lines(path) as lines:
         for line in lines:
+            if line.startswith("A "):  # most lines: test it first
+                if source is None:
+                    raise FormatError("A line before any S line")
+                fields = line[2:].split("|||")
+                if len(fields) != 6:
+                    raise FormatError(f"A line needs 6 |||-separated fields, got {len(fields)}")
+                span_field, edit_type, replacement_field, required, none_field, annotator_field = fields
+                if required != _REQUIRED_FIELD or none_field != _NONE_FIELD:
+                    raise FormatError(f"fields 4-5 must be {_REQUIRED_FIELD}|||{_NONE_FIELD}")
+                span = spans.get(span_field)
+                if span is None:
+                    span = spans[span_field] = _m2_span(span_field)
+                start, end = span
+                annotator = annotators.get(annotator_field)
+                if annotator is None:
+                    annotator = _m2_int(annotator_field, "annotator")
+                    if annotator < 0:
+                        raise FormatError(f"negative annotator id {annotator}")
+                    annotators[annotator_field] = annotator
+                if not edit_type:  # split at "|||", so it holds none
+                    raise FormatError(f"bad edit type {edit_type!r}")
+                if start == -1 and end == -1:
+                    if edit_type != _NOOP_TYPE or replacement_field != _NONE_FIELD:
+                        raise FormatError("a -1 -1 annotation must be noop|||-NONE-")
+                    if annotations.get(annotator) or annotator in noop_seen:
+                        raise FormatError(f"annotator {annotator} mixes noop with other annotations")
+                    noop_seen.add(annotator)
+                    annotations[annotator] = []
+                    continue
+                if edit_type == _NOOP_TYPE:
+                    raise FormatError("noop must use the -1 -1 span")
+                if not 0 <= start <= end <= len(source):
+                    raise FormatError(f"span [{start}, {end}) outside source of length {len(source)}")
+                replacement = replacements.get(replacement_field)
+                if replacement is None:
+                    replacement = replacements[replacement_field] = _m2_replacement(replacement_field)
+                edit = M2Edit._make((_span(start, end, replacement), edit_type))
+                if annotator in noop_seen:
+                    raise FormatError(f"annotator {annotator} mixes noop with other annotations")
+                edits = annotations.get(annotator)
+                if edits is None:
+                    annotations[annotator] = [edit]
+                else:
+                    edits.append(edit)
+                continue
             if not line.strip():
                 close()
                 continue
@@ -234,52 +292,25 @@ def read_m2(path: str | Path) -> list[M2Block]:
                 close()
                 source = _split_tokens(line[2:])
                 continue
-            if line.startswith("A "):
-                if source is None:
-                    raise FormatError("A line before any S line")
-                annotator, edit = _parse_a_line(line, len(source))
-                if annotator in noop_seen or (edit is None and annotations.get(annotator)):
-                    raise FormatError(f"annotator {annotator} mixes noop with other annotations")
-                if edit is None:
-                    noop_seen.add(annotator)
-                    annotations.setdefault(annotator, [])
-                else:
-                    annotations.setdefault(annotator, []).append(edit)
-                continue
             raise FormatError(f"unrecognized line {line[:40]!r}")
     close()
     return blocks
 
 
-def _parse_a_line(line: str, source_len: int) -> tuple[int, M2Edit | None]:
-    fields = line[2:].split("|||")
-    if len(fields) != 6:
-        raise FormatError(f"A line needs 6 |||-separated fields, got {len(fields)}")
-    span_field, edit_type, replacement_field, required, none_field, annotator_field = fields
-    if required != _REQUIRED_FIELD or none_field != _NONE_FIELD:
-        raise FormatError(f"fields 4-5 must be {_REQUIRED_FIELD}|||{_NONE_FIELD}")
-    span_parts = span_field.split()
-    if len(span_parts) != 2:
-        raise FormatError(f"bad span {span_field!r}")
-    start = _m2_int(span_parts[0], "span start")
-    end = _m2_int(span_parts[1], "span end")
-    annotator = _m2_int(annotator_field, "annotator")
-    if annotator < 0:
-        raise FormatError(f"negative annotator id {annotator}")
-    if not edit_type or "|||" in edit_type:
-        raise FormatError(f"bad edit type {edit_type!r}")
-    if start == -1 and end == -1:
-        if edit_type != _NOOP_TYPE or replacement_field != _NONE_FIELD:
-            raise FormatError("a -1 -1 annotation must be noop|||-NONE-")
-        return annotator, None
-    if edit_type == _NOOP_TYPE:
-        raise FormatError("noop must use the -1 -1 span")
-    if not 0 <= start <= end <= source_len:
-        raise FormatError(f"span [{start}, {end}) outside source of length {source_len}")
-    replacement = () if replacement_field == _NONE_FIELD else _split_tokens(replacement_field)
+def _m2_span(field: str) -> tuple[int, int]:
+    """The ``(start, end)`` of an A line's span field, two ints as write_m2 writes them."""
+    parts = field.split()
+    if len(parts) != 2:
+        raise FormatError(f"bad span {field!r}")
+    return _m2_int(parts[0], "span start"), _m2_int(parts[1], "span end")
+
+
+def _m2_replacement(field: str) -> TokenSeq:
+    """The tokens of an A line's replacement field other than -NONE-."""
+    replacement = _split_tokens(field)
     if _NONE_FIELD in replacement:
-        raise FormatError(f"{_NONE_FIELD} marks a deletion on its own, not a token of {replacement_field!r}")
-    return annotator, M2Edit(_span(start, end, replacement), edit_type)
+        raise FormatError(f"{_NONE_FIELD} marks a deletion on its own, not a token of {field!r}")
+    return replacement
 
 
 def _m2_int(field: str, name: str) -> int:
@@ -318,7 +349,8 @@ def _format_a_line(edit: M2Edit, annotator: int, source_len: int) -> str:
     span = edit.span
     if span.end > source_len:
         raise ContractError(f"edit {span} exceeds source length {source_len}")
-    if not edit.type or edit.type == _NOOP_TYPE or "|||" in edit.type or "\n" in edit.type:
+    # Text mode ends a line at "\r" as at "\n", so either would split the A line on reading.
+    if not edit.type or edit.type == _NOOP_TYPE or "|||" in edit.type or "\n" in edit.type or "\r" in edit.type:
         raise ContractError(f"unwritable edit type {edit.type!r}")
     for tok in span.replacement:
         if "|||" in tok or tok == _NONE_FIELD:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .spans import TokenSeq
-from .tags import KEEP, TagSeq
+from .tags import KEEP, TagSeq, _tag_seq
 from .tagger import TagDistribution, Tagger
 from .transforms import VerbLexicon, apply_tags
 from .vocab import TagVocab
@@ -82,7 +82,8 @@ def select_batch(batch: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: 
     probability is below ``mep`` demotes to KEEP, and if no position's error
     probability reaches ``mep`` the whole sentence stays untouched.  The START
     position only ever selects KEEP or APPEND.  Each sentence gets the tags it
-    would get alone.
+    would get alone.  Every pick is one of the vocab's Tags and START's is one
+    of START_KINDS, so the sequences skip TagSeq's per-tag check.
     """
     batch.check_fits(vocab)
     keep_idx = vocab.keep_index
@@ -96,7 +97,7 @@ def select_batch(batch: TagDistribution, vocab: TagVocab, ac: float = 0.0, mep: 
     bounds = [*starts.tolist(), len(flat)]
     gated = (np.maximum.reduceat(batch.error_probs, starts) < mep).tolist()
     return [
-        TagSeq([KEEP] * (hi - lo) if gate else flat[lo:hi])
+        _tag_seq([KEEP] * (hi - lo) if gate else flat[lo:hi])
         for lo, hi, gate in zip(bounds, bounds[1:], gated)
     ]
 

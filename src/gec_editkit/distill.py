@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .corpus import ParallelCorpus
@@ -64,8 +65,11 @@ def distill(
     as failed and skipped.  Any other exception is a bug and propagates, as
     does a corrector that returns a different number of sentences than it got.
     """
-    if limit < 1:
-        raise ContractError(f"limit must be >= 1, got {limit}")
+    try:
+        if index(limit) < 1:
+            raise ContractError(f"limit must be >= 1, got {limit}")
+    except TypeError:
+        raise ContractError(f"limit must be an integer, got {limit!r}") from None
     pairs: ParallelCorpus = []
     processed = failed = 0
     remaining = iter(sentences)

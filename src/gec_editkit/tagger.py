@@ -344,14 +344,23 @@ class MatrixTagger:
     record.  Sentences absent from the file (for example intermediates
     produced mid-pipeline that the external model never scored) predict KEEP
     everywhere, with error probability 0, which simply stops the iteration.
+    Every record is checked against the vocab and its sentence when the
+    tagger is made; ``model.table`` is a read-only view of a copy of the
+    table, so no record can join it unchecked.
     """
 
     vocab: TagVocab
-    table: dict[TokenSeq, TagDistribution]
+    table: Mapping[TokenSeq, TagDistribution]
 
     def __post_init__(self) -> None:
-        for tokens, dist in self.table.items():
+        table = dict(self.table)
+        for tokens, dist in table.items():
             dist.check_fits(self.vocab, [len(tokens)], f"record for {' '.join(tokens)!r}")
+        object.__setattr__(self, "table", MappingProxyType(table))
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle or deep-copy; the tagger is remade from a plain dict.
+        return type(self), (self.vocab, dict(self.table))
 
     def predict(self, tokens: Sequence[str]) -> TagDistribution:
         return self.predict_batch([tokens])

@@ -199,3 +199,11 @@ class TagSeq(tuple):
     @property
     def all_keep(self) -> bool:
         return self.count(KEEP) == len(self)
+
+
+def _tag_seq(tags) -> TagSeq:
+    """TagSeq without the per-tag checks, for tags the caller built itself:
+    interned Tags, with a START tag of START_KINDS by construction.  Only
+    ``decode.select_batch`` (START masked to START_KINDS) and the encoder in
+    ``align`` (KEEP and the tag constructors) call it."""
+    return tuple.__new__(TagSeq, tags)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from operator import index
 from typing import Callable, Sequence
 
 from .align import extract_edits_batch
@@ -52,8 +53,11 @@ def tune_hyperparams(
     resolve to the lower ac, then the lower mep, so results are reproducible
     bit for bit.
     """
-    if trials < 1:
-        raise ContractError(f"trials must be >= 1, got {trials}")
+    try:
+        if index(trials) < 1:
+            raise ContractError(f"trials must be >= 1, got {trials}")
+    except TypeError:
+        raise ContractError(f"trials must be an integer, got {trials!r}") from None
     if len(sources) != len(gold):
         raise ContractError(f"{len(sources)} sources for {len(gold)} gold annotations")
     rng = random.Random(seed)

@@ -38,6 +38,12 @@ class TagVocab:
     _start_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Frozen as a tuple of Tags: decode.select_batch builds tag sequences
+        # from these entries without checking them again.
+        object.__setattr__(self, "tags", tuple(self.tags))
+        for tag in self.tags:
+            if not isinstance(tag, Tag):
+                raise ContractError(f"vocab entries must be Tags, got {tag!r}")
         if not self.tags or self.tags[0] != KEEP:
             raise ContractError("vocab must start with $KEEP at index 0")
         index = {tag: i for i, tag in enumerate(self.tags)}

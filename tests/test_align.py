@@ -22,7 +22,7 @@ from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
 from gec_editkit.align import _runs, _runs_batch
 from gec_editkit.errors import ContractError
-from gec_editkit.tags import KEEP
+from gec_editkit.tags import KEEP, TagKind, TagSeq
 from gec_editkit.vocab import count_edit_tags
 
 from gen import random_pair, random_tokens, transform_groups, transform_pair
@@ -283,6 +283,38 @@ def test_the_batch_entry_equals_aligning_pair_by_pair(lexicon, seed):
         assert align.encode_tags_batch(zip(sources, targets), lexicon) == tags
     # The batches are large enough for the batch pass.
     assert len(laned) >= 3
+
+
+class _Forgetful(dict):
+    """A substitution memo that never remembers, so every substitution goes through detect_transform."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_batch_transform_memo_changes_no_tag(lexicon, with_lexicon, seed):
+    lex = lexicon if with_lexicon else None
+    pairs = mixed_batch(random.Random(seed), lexicon)
+    detected = []
+    real = align.detect_transform
+
+    def counting(token, replacement, lexicon):
+        detected.append((token, replacement))
+        return real(token, replacement, lexicon)
+
+    with mock.patch.object(align, "detect_transform", counting):
+        tags = align.encode_tags_batch(pairs, lex)
+        # Each distinct substitution is detected once in the whole batch.
+        assert detected and len(detected) == len(set(detected))
+        memoless = [align._tags(s, t, _runs(s, t), lex, _Forgetful()) for s, t in pairs]
+    assert tags == memoless
+    assert all(type(seq) is TagSeq and TagSeq(list(seq)) == seq for seq in tags)
+    assert len(detected) > 2 * len(set(detected))
+    transforms = {tag.kind for seq in tags for tag in seq} & {TagKind.TRANSFORM_CASE, TagKind.TRANSFORM_VERB}
+    assert transforms == ({TagKind.TRANSFORM_CASE, TagKind.TRANSFORM_VERB} if with_lexicon else {TagKind.TRANSFORM_CASE})
 
 
 @settings(max_examples=3, deadline=None)

@@ -8,7 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gec_editkit import (
@@ -33,6 +33,7 @@ from gec_editkit import (
 from gec_editkit.corpus import read_lines
 from gec_editkit.tags import DELETE, KEEP
 
+import m2_oracle
 from gen import random_distribution, random_pair, random_tokens
 
 
@@ -298,6 +299,111 @@ def test_m2_write_rejects_unwritable_content(tmp_path):
     out_of_range = M2Block(("a",), {0: (M2Edit(EditSpan(0, 5, ("x",)), "R:X"),)})
     with pytest.raises(ContractError):
         write_m2(path, [out_of_range])
+
+
+@pytest.mark.parametrize("edit_type", ["R\rX", "R\r\nX", "\r", "R\nX"])
+def test_m2_write_refuses_an_edit_type_that_would_end_its_line(tmp_path, edit_type):
+    # Text mode ends a line at "\r" as at "\n", so such a type would be
+    # written and then split the A line when the file is read back.
+    path = tmp_path / "out.m2"
+    path.write_text("untouched\n", encoding="utf-8")
+    block = M2Block(("a",), {0: (M2Edit(EditSpan(0, 1, ("c",)), edit_type),)})
+    with pytest.raises(ContractError, match="unwritable edit type"):
+        write_m2(path, [block])
+    assert path.read_text(encoding="utf-8") == "untouched\n"
+    assert os.listdir(tmp_path) == ["out.m2"]
+
+
+# Malformed values for each field of a generated A line.
+_BAD_M2_FIELDS = {
+    "span": ["-1 -1", "2 1", "0 9", "-1 0", "01 1", "+0 1", "0", "0 1 2", "0  1", "0\t1", "a b", "٠ 1", ""],
+    "type": ["noop", "", "R X"],
+    "replacement": ["x -NONE-", "", "x  y", " x", "-NONE- -NONE-", "-NONE-"],
+    "required": ["OPTIONAL", ""],
+    "none": ["NONE", "-NONE- "],
+    "annotator": ["-1", "00", "+1", "x", "", "1 ", "-0"],
+}
+
+
+@st.composite
+def m2_a_lines(draw, source_len):
+    """An A line for a source of ``source_len`` tokens: an edit or a noop, now and then with one field malformed."""
+    if draw(st.integers(0, 7)) == 0:  # mostly by an annotator of its own
+        annotator = draw(st.sampled_from("33332"))
+        fields = {"span": "-1 -1", "type": "noop", "replacement": "-NONE-"}
+    else:
+        annotator = draw(st.sampled_from("0122"))
+        # Now and then a span that fits the longest source, not this one:
+        # a field met in one block must still be checked against the next.
+        last = draw(st.sampled_from([source_len] * 5 + [4]))
+        start = draw(st.integers(0, last))
+        end = draw(st.integers(start, last))
+        fields = {
+            "span": f"{start} {end}",
+            "type": draw(st.sampled_from(["R:VERB", "M:DET", "UNK"])),
+            "replacement": draw(st.sampled_from(["x", "x y", "ё"] * 3 + ["-NONE-"])),
+        }
+    fields.update(required="REQUIRED", none="-NONE-", annotator=annotator)
+    if draw(st.integers(0, 9)) == 0:
+        name = draw(st.sampled_from(sorted(_BAD_M2_FIELDS)))
+        fields[name] = draw(st.sampled_from(_BAD_M2_FIELDS[name]))
+    order = ("span", "type", "replacement", "required", "none", "annotator")
+    return "A " + "|||".join(fields[name] for name in order)
+
+
+@st.composite
+def m2_files(draw):
+    """The lines of an M2 file: 0-4 blocks of 0-6 A lines, and now and then a stray line anywhere."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        source_len = draw(st.integers(0, 4))
+        lines.append(" ".join(["S", *"abcd"[:source_len]]))
+        lines += draw(st.lists(m2_a_lines(source_len), max_size=6))
+        lines.append(draw(st.sampled_from(["", "", "", " "])))
+    if draw(st.integers(0, 7)) == 0:
+        stray = draw(st.sampled_from(["A", "Sa b", "X y", "A 0 1|||R|||x", "A 0 1|||R|||x|||REQUIRED|||-NONE-|||0|||"]))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    return lines
+
+
+def _m2_outcome(reader, path):
+    try:
+        return reader(path)
+    except Exception as exc:  # the same error, type and text, is part of the contract
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=m2_files())
+# A line with two faults: the first the oracle meets is the one reported.
+@example(lines=["S a b", "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0", "A 1 1|||M|||-NONE-|||REQUIRED|||-NONE-|||0"])
+def test_m2_reader_equals_the_field_by_field_oracle(tmp_path_factory, lines):
+    # The same blocks, or the same FormatError text at the same line, as the
+    # reader that parsed every field of every A line afresh.
+    path = tmp_path_factory.getbasetemp() / "oracle.m2"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert _m2_outcome(read_m2, path) == _m2_outcome(m2_oracle.read_m2, path)
+
+
+def test_m2_fields_met_before_are_checked_against_each_block(tmp_path):
+    # The span "0 3" passed in the first block; the second block is shorter.
+    path = tmp_path / "g.m2"
+    path.write_text(
+        "S a b c\nA 0 3|||R|||x|||REQUIRED|||-NONE-|||0\n\n"
+        "S a b\nA 0 3|||R|||x|||REQUIRED|||-NONE-|||0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError) as exc:
+        read_m2(path)
+    assert str(exc.value) == f"{path}:5: span [0, 3) outside source of length 2"
+    path.write_text(
+        "S a b\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||1\n\n"
+        "S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||1\nA 0 1|||R|||x|||REQUIRED|||-NONE-|||1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError) as exc:
+        read_m2(path)
+    assert str(exc.value) == f"{path}:6: annotator 1 mixes noop with other annotations"
 
 
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path):

@@ -13,6 +13,7 @@ from gec_editkit import (
     select_tags,
     train_baseline,
 )
+from gec_editkit.decode import select_batch
 from gec_editkit.tags import KEEP, Tag, TagKind, TagSeq, append, parse_tag, replace
 
 from gen import as_batch, random_distribution, random_tokens, random_vocab
@@ -235,3 +236,15 @@ def test_tagseq_returned(vocab):
     rng = random.Random(10)
     d = random_distribution(rng, vocab, 3)
     assert isinstance(select_tags(d, vocab), TagSeq)
+
+
+@pytest.mark.parametrize("ac, mep", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.6), (1.0, 1.0)])
+def test_selected_sequences_pass_the_checked_constructor(ac, mep):
+    # select_batch builds its sequences without TagSeq's checks; each must be
+    # one the checked constructor takes as it is, START restricted included.
+    rng = random.Random(11)
+    for _ in range(20):
+        vocab = random_vocab(rng)
+        dists = [random_distribution(rng, vocab, rng.randint(0, 6)) for _ in range(rng.randint(1, 5))]
+        for seq in select_batch(as_batch(dists), vocab, ac, mep):
+            assert type(seq) is TagSeq and TagSeq(list(seq)) == seq

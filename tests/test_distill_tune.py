@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +325,23 @@ def test_tune_aligns_each_distinct_correction_once(monkeypatch):
     result = run_tune(corrector, sources, gold, trials=12, seed=4)
     assert [trial.report for trial in result.trials] == expected
     assert sorted(aligned) == sorted(corrections)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+def test_trials_and_limit_must_be_integers(count):
+    # Refused up front, as EditKitErrors: 2.5 reached range (TypeError) and
+    # islice (ValueError), which distill's callers do not expect.
+    with pytest.raises(ContractError, match=re.escape(f"trials must be an integer, got {count!r}")):
+        tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=count, seed=1)
+    with pytest.raises(ContractError, match=re.escape(f"limit must be an integer, got {count!r}")):
+        distill(each(lambda s: s + ("!",)), [("a",), ("b",)], limit=count)
+
+
+def test_trials_and_limit_take_any_integer_type():
+    one = np.int64(1)
+    assert len(tune_hyperparams(lambda sources, ac, mep: sources, [("a",)], [[[]]], trials=one, seed=1).trials) == 1
+    pairs, stats = distill(each(lambda s: s + ("!",)), [("a",), ("b",)], limit=one)
+    assert pairs == [(("a",), ("a", "!"))] and stats.processed == 1
 
 
 def test_tune_contracts():

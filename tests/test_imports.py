@@ -3,6 +3,7 @@ and no third-party import that pyproject.toml does not declare; the token
 rule's one owner; and who builds spans without the token check."""
 
 import ast
+from collections import Counter
 import re
 import sys
 from pathlib import Path
@@ -153,6 +154,30 @@ def test_only_align_and_the_m2_reader_build_unchecked_spans():
     assert _uses(trees["spans"], "_span"), "the builder's own module does not name it"
     users = {name for name, tree in trees.items() if name != "spans" and _uses(tree, "_span")}
     assert users == {"align", "corpus"}
+
+
+def test_three_sites_build_unchecked_tag_sequences():
+    # tags._tag_seq skips TagSeq's per-tag checks, so only code whose tags are
+    # vocab entries or interned constructors' results, with START of
+    # START_KINDS by construction, may call it: the decoder's selection
+    # (START masked) and the encoder (its passes and its all-KEEP sequences).
+    trees = _trees()
+    assert _definition(trees["tags"], ast.FunctionDef, "_tag_seq")
+    users = {name for name, tree in trees.items() if name != "tags" and _uses(tree, "_tag_seq")}
+    assert users == {"align", "decode"}
+    sites = Counter(
+        (name, func.name)
+        for name in users
+        for func in trees[name].body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_tag_seq"
+    )
+    assert sites == {("decode", "select_batch"): 1, ("align", "_tags"): 1, ("align", "encode_tags_batch"): 1}
+    # Named anywhere else (passed on, aliased), it would escape the count above.
+    named = sum(1 for name in users for node in ast.walk(trees[name])
+                if isinstance(node, ast.Name) and node.id == "_tag_seq")
+    assert named == sum(sites.values())
 
 
 def _definition(tree, kind, name):

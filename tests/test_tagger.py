@@ -735,6 +735,31 @@ def test_matrix_tagger_refuses_a_record_of_the_wrong_width(small_vocab):
         MatrixTagger(small_vocab, dict([good, (("He", "go"), _narrow_distribution(small_vocab, 2))]))
 
 
+def test_matrix_table_is_a_read_only_view_of_the_checked_records(small_vocab):
+    # A record added after the tagger is made would skip the fit check made at
+    # construction, and a narrow one failed in predict with numpy's ValueError.
+    rng = random.Random(86)
+    records = {("a",): random_distribution(rng, small_vocab, 1)}
+    model = MatrixTagger(small_vocab, records)
+    with pytest.raises(TypeError):
+        model.table[("He", "go")] = _narrow_distribution(small_vocab, 2)
+    with pytest.raises(AttributeError):
+        model.table.clear()
+    # The table it was made from is copied: changing it changes nothing.
+    records[("He", "go")] = _narrow_distribution(small_vocab, 2)
+    assert list(model.table) == [("a",)]
+    rows = model.predict_batch([("a",), ("He", "go")]).rows
+    assert np.array_equal(rows[:2], model.table[("a",)].rows)
+    # Remade by replace, a pickle or a deep copy, it serves the same records.
+    remade = [dataclasses.replace(model), copy.deepcopy(model)]
+    remade += [pickle.loads(pickle.dumps(model, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in remade:
+        assert list(back.table) == [("a",)]
+        assert np.array_equal(back.predict_batch([("a",), ("He", "go")]).rows, rows)
+        with pytest.raises(TypeError):
+            back.table[("b",)] = back.table[("a",)]
+
+
 def test_matrix_write_refuses_a_record_of_the_wrong_width(tmp_path, small_vocab):
     path = tmp_path / "m.jsonl"
     with pytest.raises(ContractError, match="has rows of width"):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +165,17 @@ def test_format_tag_listing_matches_index_order():
     assert listed[:3] == ["$KEEP", "$DELETE", "$UNKNOWN"]
     for i, tag in enumerate(vocab.tags):
         assert vocab.index[tag] == i
+
+
+@pytest.mark.parametrize("entry", ["$APPEND_the", None, 3])
+def test_vocab_entries_must_be_tags(entry):
+    # The decoder builds tag sequences from vocab entries without checking them again.
+    with pytest.raises(ContractError, match=re.escape(f"vocab entries must be Tags, got {entry!r}")):
+        TagVocab((KEEP, DELETE, UNKNOWN, entry))
+
+
+def test_vocab_tags_are_frozen_as_a_tuple():
+    tags = [KEEP, DELETE, UNKNOWN, append("the")]
+    vocab = TagVocab(tags)
+    tags[3] = "$APPEND_the"
+    assert vocab.tags == (KEEP, DELETE, UNKNOWN, append("the"))
