@@ -7,19 +7,22 @@ training pairs and ``--sentences`` dev sentences from the desk corpus
 the dev sentences in the chunks ``decode_iteratively`` would hand a tagger
 (at most ``decode.BATCH_ELEMENTS / len(vocab)`` rows each).
 
-"old" is a copy of the code as it was before prediction and training went a
-batch at a time, kept below: ``_context_keys`` per sentence, the seen counts
-gathered from the nested ``counts`` dicts for each prediction, and one
-``Counter.update`` per pass and member in training.  "new" is
-``BaselineTagger.predict_batch`` and ``train_baselines`` as shipped.  Both
-training forms share ``align.count_passes``, so the training line times the
-tally alone as the difference.  The old forms must give the same rows and
+"old" is a copy of the code each step replaced, kept below: for
+prediction, ``_context_keys`` per sentence and the seen counts gathered from
+the nested ``counts`` dicts; for training, the ``Counter.update`` tally over
+``(context, tag index)`` items, each repeated as often as its pass, that the
+numpy tally (``tagger._tally``) replaced.  "new" is
+``BaselineTagger.predict_batch`` and ``train_baselines`` as shipped.  The
+training line leaves encoding out, in training pairs per second:
+``align.count_passes`` runs once, and both forms start from its passes
+(``train_baselines`` is handed them through a patched ``count_passes``), so
+they differ in the tally alone.  The old forms must give the same rows and
 the same counts, in the same order, which the script checks.  It does not
 time any CLI command; ``perfbench/`` is the end-to-end instrument.
 
 On a 2-vCPU Xeon with Python 3.11 and numpy 2.4, prediction ran 1.5-2.2x
-as fast as the old gather and the training tally 1.05-1.1x (best of 5
-repeats, two runs).
+as fast as the old gather and the numpy training tally 1.4-1.5x as fast as
+the ``Counter.update`` one (best of 5 repeats, two runs).
 
 Usage::
 
@@ -34,13 +37,14 @@ import time
 from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from gec_editkit import BaselineTagger, TagDistribution, build_vocab, train_baselines
+from gec_editkit import BaselineTagger, TagDistribution, build_vocab, tagger, train_baselines
 from gec_editkit.align import count_passes
 from gec_editkit.decode import BATCH_ELEMENTS, _chunks
-from gec_editkit.tagger import _context_keys, sentence_bounds
+from gec_editkit.tagger import _batch_context_keys, _context_keys, sentence_bounds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from deskdata import make_corpus  # noqa: E402
@@ -63,15 +67,16 @@ def old_predict_batch(model: BaselineTagger, counts: dict, sentences) -> TagDist
     return TagDistribution(model.vocab.sha256, rows, err, sentence_bounds(map(len, sentences))[:-1])
 
 
-def old_train_baselines(pairs, vocab, shapes) -> list[BaselineTagger]:
-    """One Counter.update per distinct pass and member, each pass's keys built apart."""
-    tallies: list[Counter] = [Counter() for _ in shapes]
-    for (cur, tags), copies in count_passes(pairs).items():
-        indices = list(map(vocab.index_of, tags))
-        for (context_width, _), tally in zip(shapes, tallies):
-            tally.update(list(zip(_context_keys(cur, context_width), indices)) * copies)
+def old_train_baselines(passes, vocab, shapes) -> list[BaselineTagger]:
+    """The passes tallied by one Counter.update per member, every position's item repeated as often as its pass."""
+    sentences = [cur for cur, _ in passes]
+    indices = list(map(vocab.index.get, chain.from_iterable(tags for _, tags in passes), repeat(vocab.unknown_index)))
     models = []
-    for (context_width, smoothing), tally in zip(shapes, tallies):
+    for context_width, smoothing in shapes:
+        reps = chain.from_iterable(map(repeat, passes.values(), (len(cur) + 1 for cur in sentences)))
+        items = zip(_batch_context_keys(sentences, context_width), indices)
+        tally: Counter = Counter()
+        tally.update(chain.from_iterable(map(repeat, items, reps)))
         counts: dict = {}
         for (key, idx), n in tally.items():
             counts.setdefault(key, {})[idx] = n
@@ -100,13 +105,15 @@ def main() -> None:
     sentences = [source for source, _ in make_corpus(args.sentences, seed=args.seed + 1)]
     vocab = build_vocab(pairs, 200)
 
-    old_models = old_train_baselines(pairs, vocab, SHAPES)
-    models = train_baselines(pairs, vocab, SHAPES)
-    for old, new in zip(old_models, models):
-        assert list(old.counts) == list(new.counts)
-        assert [list(tags.items()) for tags in old.counts.values()] == [list(tags.items()) for tags in new.counts.values()]
-    old = best_seconds(lambda: old_train_baselines(pairs, vocab, SHAPES), args.repeats)
-    new = best_seconds(lambda: train_baselines(pairs, vocab, SHAPES), args.repeats)
+    passes = count_passes(pairs)
+    with mock.patch.object(tagger, "count_passes", lambda pairs, lexicon: passes):
+        old_models = old_train_baselines(passes, vocab, SHAPES)
+        models = train_baselines(pairs, vocab, SHAPES)
+        for old, new in zip(old_models, models):
+            assert list(old.counts) == list(new.counts)
+            assert [list(tags.items()) for tags in old.counts.values()] == [list(tags.items()) for tags in new.counts.values()]
+        old = best_seconds(lambda: old_train_baselines(passes, vocab, SHAPES), args.repeats)
+        new = best_seconds(lambda: train_baselines(pairs, vocab, SHAPES), args.repeats)
     print(
         f"train_baselines, {len(SHAPES)} members, {len(pairs)} pairs: "
         f"old {len(pairs) / old:,.0f} sentences/s, new {len(pairs) / new:,.0f} sentences/s, speedup {old / new:.2f}x"

@@ -17,12 +17,16 @@ lanes in lockstep.  A numpy call costs about a microsecond whatever its
 width, so the batch pass pays off only over many lanes: it runs when at
 least ``BATCH_MIN`` pairs fit a lane, and every other pair (a longer source,
 an empty one, or all pairs of a smaller batch) goes through
-``backtrace_ops`` one by one.
+``backtrace_ops`` one by one.  The batch entry measures every pair once,
+into arrays of source and target lengths; the lanes are picked and their
+chunks planned from those arrays in numpy, and each chunk's ids are
+numbered in one ``dict.setdefault`` pass straight into its padded arrays.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count
+from operator import itemgetter
 from typing import Hashable, Iterator, Sequence
 
 import numpy as np
@@ -114,43 +118,51 @@ def backtrace_ops(src_ids: Sequence[Hashable], tgt_ids: Sequence[Hashable]) -> b
 def backtrace_ops_batch(pairs: Sequence[tuple[Sequence[Hashable], Sequence[Hashable]]]) -> list[bytes]:
     """``[backtrace_ops(src, tgt) for src, tgt in pairs]``, with many pairs aligned at once.
 
-    Pairs whose source holds 1 to 64 ids are aligned by the batch pass when
-    there are at least BATCH_MIN of them, in chunks of at most BATCH_CELLS
-    cells; the rest go one by one through backtrace_ops.
+    Every pair's source and target length is measured once, into two arrays,
+    and one mask over them picks the lanes.  Pairs whose source holds 1 to 64
+    ids are aligned by the batch pass when there are at least BATCH_MIN of
+    them, in chunks of at most BATCH_CELLS cells that _chunks plans from
+    those arrays; the rest go one by one through backtrace_ops.
     """
-    lanes = [k for k, (src, _) in enumerate(pairs) if 0 < len(src) <= _WORD]
-    if len(lanes) < BATCH_MIN:
-        lanes = []
-    in_lanes = set(lanes)
-    ops = [b"" if k in in_lanes else backtrace_ops(*pair) for k, pair in enumerate(pairs)]
-    for chunk in _chunks(pairs, lanes):
+    n = np.fromiter(map(len, map(itemgetter(0), pairs)), dtype=np.int64, count=len(pairs))
+    m = np.fromiter(map(len, map(itemgetter(1), pairs)), dtype=np.int64, count=len(pairs))
+    laned = (n > 0) & (n <= _WORD)
+    if np.count_nonzero(laned) < BATCH_MIN:
+        laned[:] = False
+    ops = [b"" if in_lane else backtrace_ops(*pair) for in_lane, pair in zip(laned.tolist(), pairs)]
+    for chunk in _chunks(n, m, np.flatnonzero(laned)):
         for k, codes in zip(chunk, _align_lanes([pairs[k] for k in chunk])):
             ops[k] = codes
     return ops
 
 
-def _chunks(pairs: Sequence[tuple[Sequence[Hashable], Sequence[Hashable]]], lanes: list[int]) -> Iterator[list[int]]:
-    """The lanes in chunks of at most BATCH_CELLS cells, pairs of like target length together."""
-    chunk: list[int] = []
-    rows = cols = 0
-    for k in sorted(lanes, key=lambda k: len(pairs[k][1])):
-        n, m = len(pairs[k][0]), len(pairs[k][1])
-        if chunk and (len(chunk) + 1) * max(rows, n) * max(cols, m) > BATCH_CELLS:
-            yield chunk
-            chunk, rows, cols = [], 0, 0
-        chunk.append(k)
-        rows, cols = max(rows, n), max(cols, m)
-    if chunk:
-        yield chunk
+def _chunks(n: np.ndarray, m: np.ndarray, lanes: np.ndarray) -> Iterator[list[int]]:
+    """The ``lanes`` in chunks of at most BATCH_CELLS cells, pairs of like target length together.
 
-
-def _numbered(seqs: tuple[Sequence[Hashable], ...], lengths: np.ndarray, number: dict[Hashable, int], pad: int) -> np.ndarray:
-    """The sequences' ids by ``number`` as the rows of one int32 array, each filled out with ``pad``."""
-    out = np.full((len(seqs), int(lengths.max())), pad, dtype=np.int32)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
-        map(number.__getitem__, chain.from_iterable(seqs)), dtype=np.int32, count=int(lengths.sum())
-    )
-    return out
+    ``n`` and ``m`` hold every pair's source and target length.  The lanes
+    are sorted stably by target length, so a chunk's longest target is its
+    last lane's, and a chunk that starts at lane ``s`` and takes ``k`` lanes
+    has ``k * max(n[s : s + k]) * m[s + k - 1]`` cells, which never falls
+    as ``k`` grows.  A chunk takes every lane up to the first that would
+    bring it past BATCH_CELLS, and at least one lane.
+    """
+    lanes = lanes[np.argsort(m[lanes], kind="stable")]
+    rows, cols = n[lanes], m[lanes]
+    start = 0
+    while start < len(lanes):
+        # Look ahead over a window that grows until the chunk ends inside it,
+        # so planning stays linear in the lanes however many chunks there are.
+        window = 256
+        while True:
+            stop = min(start + window, len(lanes))
+            cells = np.arange(1, stop - start + 1) * np.maximum.accumulate(rows[start:stop]) * cols[start:stop]
+            fit = int(np.searchsorted(cells, BATCH_CELLS, side="right"))
+            if fit < stop - start or stop == len(lanes):
+                break
+            window *= 4
+        end = start + max(1, fit)
+        yield lanes[start:end].tolist()
+        start = end
 
 
 def _align_lanes(pairs: list[tuple[Sequence[Hashable], Sequence[Hashable]]]) -> list[bytes]:
@@ -168,14 +180,26 @@ def _align_lanes(pairs: list[tuple[Sequence[Hashable], Sequence[Hashable]]]) -> 
     cols = int(m.max())
 
     # eq[j, b]: the rows of lane b that hold its target's j-th id (Peq of
-    # that id).  Ids are numbered across the chunk; each slab of columns
+    # that id).  Ids are numbered across the chunk in one pass, sources then
+    # targets, each id by the position where it first occurs: equal ids get
+    # equal numbers, and pads (-1, -2) match nothing.  Each slab of columns
     # compares every target number with every source number of its lane,
     # one bool per cell, and packs the bools eight to a byte and eight bytes
     # to a little-endian word.
-    number = dict(zip(dict.fromkeys(chain(chain.from_iterable(srcs), chain.from_iterable(tgts))), count()))
-    src = _numbered(srcs, n, number, -1)
-    tgt = _numbered(tgts, m, number, -2).T
+    number: dict[Hashable, int] = {}
+    in_src = int(n.sum())
+    ids = np.fromiter(
+        map(number.setdefault, chain(chain.from_iterable(srcs), chain.from_iterable(tgts)), count()),
+        dtype=np.int32,
+        count=in_src + int(m.sum()),
+    )
     del number
+    src = np.full((width, int(n.max())), -1, dtype=np.int32)
+    src[np.arange(src.shape[1]) < n[:, None]] = ids[:in_src]
+    tgt = np.full((width, cols), -2, dtype=np.int32)
+    tgt[np.arange(cols) < m[:, None]] = ids[in_src:]
+    tgt = tgt.T
+    del ids
     packed = np.zeros((cols + 1, width, 8), dtype=np.uint8)
     slab = max(1, _SLAB_CELLS // src.size)
     for j in range(0, cols, slab):

@@ -268,31 +268,30 @@ def _add_hp_flags(p: argparse.ArgumentParser, n_min: bool = False) -> None:
         p.add_argument("--n-min", type=int, default=None, help="vote mode's quorum (default members - 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gec-editkit", description="Edit-tag GEC toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-vocab", help="build a tag vocabulary from a parallel TSV")
+def _build_vocab_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--size", type=int, default=5000, help="vocabulary size cap (default 5000)")
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("encode", help="encode one correction pass per TSV pair as tags")
+
+def _encode_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("apply", help="apply per-line tag sequences to sentences")
+
+def _apply_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", required=True)
     p.add_argument("--tags", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("correct", help="run the iterative pipeline with one tagger")
+
+def _correct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--vocab", required=True)
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hp_flags(p)
     p.set_defaults(func=cmd_correct)
 
-    p = sub.add_parser("ensemble", help="combine members by probability averaging or span voting")
+
+def _ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--output", required=True)
@@ -316,12 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hp_flags(p, n_min=True)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("score", help="span-level P/R/F0.5 of corrected text against gold M2")
+
+def _score_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hyp", required=True)
     p.add_argument("--gold", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("tune", help="seeded random search over (ac, mep) on a dev M2 file")
+
+def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gold", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--tagger", required=True, help="matrix=PATH or baseline=PATH[,cw=N][,sm=X]")
@@ -331,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("distill", help="keep only the sentence pairs a teacher system changes")
+
+def _distill_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--vocab", required=True)
@@ -342,11 +345,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hp_flags(p, n_min=True)
     p.set_defaults(func=cmd_distill)
 
-    p = sub.add_parser("filter", help="drop pairs whose source equals their target")
+
+def _filter_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_filter)
 
+
+# Every subcommand, in the order --help lists them: its help line and the
+# function that adds its arguments and the command it runs.
+SUBCOMMANDS = {
+    "build-vocab": ("build a tag vocabulary from a parallel TSV", _build_vocab_args),
+    "encode": ("encode one correction pass per TSV pair as tags", _encode_args),
+    "apply": ("apply per-line tag sequences to sentences", _apply_args),
+    "correct": ("run the iterative pipeline with one tagger", _correct_args),
+    "ensemble": ("combine members by probability averaging or span voting", _ensemble_args),
+    "score": ("span-level P/R/F0.5 of corrected text against gold M2", _score_args),
+    "tune": ("seeded random search over (ac, mep) on a dev M2 file", _tune_args),
+    "distill": ("keep only the sentence pairs a teacher system changes", _distill_args),
+    "filter": ("drop pairs whose source equals their target", _filter_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser: with every subcommand, or with ``command`` alone.
+
+    A parser with one subcommand parses that subcommand's arguments, and
+    prints its help, usage and errors, as the full parser would: its
+    top-level usage still names every subcommand.
+    """
+    parser = argparse.ArgumentParser(prog="gec-editkit", description="Edit-tag GEC toolkit")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # The usage names every choice, as the full parser's does.  The full
+        # parser takes no metavar: its errors would name the argument by it.
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(SUBCOMMANDS) + "}")
+    for name in SUBCOMMANDS if command is None else [command]:
+        help_text, add_args = SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -359,8 +396,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     collection frees it first; the collector is re-enabled afterwards if it
     was enabled before.  ``tests/test_gc.py`` checks that no command leaves
     cyclic garbage behind.
+
+    When the first argument names a subcommand, only that subcommand's
+    parser is built; any other first argument (``--help``, none, an unknown
+    command) gets the full parser and its help or error.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     gc.collect(1)
     enabled = gc.isenabled()
     gc.disable()

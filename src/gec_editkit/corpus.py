@@ -19,6 +19,14 @@ parses its lines inside a ``read_lines`` block and raises its errors without a
 position, and the block puts them at ``path:line`` of the line being parsed.
 A byte that is not UTF-8 raises FormatError at the line that holds it.
 
+The plain and TSV readers take a file whole: they read its text at once,
+split it at line ends, tabs and spaces, and check every token with
+``spans.are_tokens``, a few comparisons in C.  Only a file that fails a
+check, or is not UTF-8 throughout, is parsed line by line
+(``_split_tokens``, ``_tsv_pair``), to raise the fault a line-by-line reader
+meets first, at its line.  The M2 and vocab readers parse line by line
+throughout.
+
 Outputs are written through ``write_lines``: to a temporary sibling, renamed
 onto the target only on success, so a failed write leaves the target as it
 was and nothing partial behind.  A new file gets the mode ``open(path, "w")``
@@ -30,11 +38,12 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import ContractError, EditKitError, FormatError
-from .spans import EditSpan, TokenSeq, _span, validate_tokens
+from .spans import EditSpan, TokenSeq, _span, are_tokens, validate_tokens
 
 Pair = tuple[TokenSeq, TokenSeq]
 ParallelCorpus = list[Pair]
@@ -85,8 +94,9 @@ class _Lines:
     with no lines has been found empty (so a missing header sits at line 1).
     """
 
-    def __init__(self, fh: Iterable[str]):
-        self._numbered = enumerate(fh, start=1)
+    def __init__(self, fh: TextIO):
+        self._fh = fh
+        self._numbered: Iterator[tuple[int, str]] = enumerate(fh, start=1)
         self.lineno: int | None = None
         self._ended = False
 
@@ -100,6 +110,28 @@ class _Lines:
             self._ended = True
             self.lineno = None if self.lineno else 1
         raise StopIteration
+
+    def read(self) -> list[str] | None:
+        """Every line of the file at once, without "\n", before any line is read.
+
+        Line ends are text mode's, so the lines are those iterating would
+        give.  Iterating on walks the same lines again, numbered as if they
+        had just been read one by one: a reader that finds a fault in the
+        lines read at once parses them one by one to raise it at its line.
+        A file that is not UTF-8 throughout gives None, and iterating reads
+        it line by line from its start, so its lines and its undecodable
+        byte fail in the order a reader going line by line meets them.
+        """
+        try:
+            text = self._fh.read()
+        except UnicodeDecodeError:
+            self._fh.seek(0)
+            return None
+        lines = text.split("\n")
+        if not lines[-1]:  # the end of the last line, or of an empty file
+            lines.pop()
+        self._numbered = enumerate(lines, start=1)
+        return lines
 
 
 @contextmanager
@@ -146,6 +178,11 @@ def _split_tokens(line: str) -> TokenSeq:
 
 def read_sentences(path: str | Path) -> list[TokenSeq]:
     with read_lines(path) as lines:
+        rows = lines.read()
+        if rows is not None:
+            sentences = [tuple(row.split(" ")) if row else () for row in rows]
+            if are_tokens(chain.from_iterable(sentences), rows):
+                return sentences
         return [_split_tokens(line) for line in lines]
 
 
@@ -155,6 +192,17 @@ def write_sentences(path: str | Path, sentences: Iterable[Sequence[str]]) -> Non
 
 def read_tsv_corpus(path: str | Path) -> ParallelCorpus:
     with read_lines(path) as lines:
+        rows = lines.read()
+        if rows is not None:
+            sides = [row.split("\t") for row in rows]
+            # Every line one tab, and no line that tab alone.
+            if set(map(len, sides)) <= {2} and "\t" not in rows:
+                pairs = [
+                    (tuple(src.split(" ")) if src else (), tuple(tgt.split(" ")) if tgt else ()) for src, tgt in sides
+                ]
+                del sides  # the half lines, which the check has no use for
+                if are_tokens(chain.from_iterable(chain.from_iterable(pairs)), rows):
+                    return pairs
         return [_tsv_pair(line) for line in lines]
 
 
@@ -350,11 +398,16 @@ def _format_a_line(edit: M2Edit, annotator: int, source_len: int) -> str:
     if span.end > source_len:
         raise ContractError(f"edit {span} exceeds source length {source_len}")
     # Text mode ends a line at "\r" as at "\n", so either would split the A line on reading.
-    if not edit.type or edit.type == _NOOP_TYPE or "|||" in edit.type or "\n" in edit.type or "\r" in edit.type:
+    # A field that ends with "|" would make the "|||" after it start one
+    # character early, inside the field, when the line is split on reading.
+    if (not edit.type or edit.type == _NOOP_TYPE or "|||" in edit.type or edit.type.endswith("|")
+            or "\n" in edit.type or "\r" in edit.type):
         raise ContractError(f"unwritable edit type {edit.type!r}")
     for tok in span.replacement:
         if "|||" in tok or tok == _NONE_FIELD:
             raise ContractError(f"replacement token {tok!r} cannot be written in M2")
+    if span.replacement and span.replacement[-1].endswith("|"):
+        raise ContractError(f"replacement token {span.replacement[-1]!r} cannot end an M2 replacement field")
     replacement = " ".join(span.replacement) if span.replacement else _NONE_FIELD
     return (
         f"A {span.start} {span.end}|||{edit.type}|||{replacement}"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, EditOverlapError, SpanRangeError
 
 TokenSeq = tuple[str, ...]
+
+# Lines that are_tokens splits at once.
+_CHECK_LINES = 64
 
 
 def is_token(text: object) -> bool:
@@ -41,6 +45,25 @@ def validate_tokens(tokens: Iterable[str]) -> TokenSeq:
                 raise ContractError(f"token must be str, got {tok!r}")
             raise ContractError(f"token contains whitespace: {tok!r}" if tok else "empty token")
     return out
+
+
+def are_tokens(pieces: Iterable[str], lines: Sequence[str]) -> bool:
+    """Whether every one of ``pieces`` is a token, given that ``lines`` hold
+    the pieces in order with whitespace between them (and perhaps around them).
+
+    That holds exactly when splitting the lines at their whitespace gives the
+    pieces back: every element of ``str.split()`` is a token, and tokens
+    apart from each other by whitespace split apart again.  A reader that cut
+    a whole file at single spaces, tabs and line ends checks all it cut this
+    way, in C.  The lines are split _CHECK_LINES at a time, so the strings
+    split off for the comparison stay few however long the file.
+    """
+    pieces = iter(pieces)
+    for start in range(0, len(lines), _CHECK_LINES):
+        words = "\n".join(lines[start : start + _CHECK_LINES]).split()
+        if words != list(islice(pieces, len(words))):
+            return False
+    return next(pieces, None) is None
 
 
 class EditSpan(NamedTuple("_EditSpanFields", [("start", int), ("end", int), ("replacement", TokenSeq)])):

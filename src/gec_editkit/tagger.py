@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import index, methodcaller
@@ -295,34 +294,73 @@ def train_baselines(
     models also see the intermediate sentences they will encounter during
     iterative decoding); tags outside ``vocab`` count as UNKNOWN.  The passes
     come from align.count_passes: each distinct pair is encoded once for all
-    models, and each distinct ``(sentence, tags)`` pass is added to every
-    model's tally of ``(context, tag index)`` once, times its count: one
-    Counter.update per model over the contexts of all distinct passes, each
-    repeated as often as its pass.  The distinct passes and one model's
-    contexts are held in memory until they are tallied, so memory grows with
-    the corpus's distinct passes, not with its length.  The nested counts are
-    built from the tallies at the end, contexts and their tags in the order a
-    pair-by-pair, pass-by-pass loop would first see them, and each model is
-    made from its complete counts.  Every shape is checked against ``vocab``
-    before any pair is encoded.
+    models, and each distinct ``(sentence, tags)`` pass counts once, times
+    its copies.
+
+    Each model tallies ``(context, tag index)`` over the positions of all
+    distinct passes in numpy (_tally): every context gets an id in one
+    ``dict.setdefault`` pass, every position one ``int64`` code from its
+    context and tag, weighted by its pass's copies, and equal codes are
+    summed in integers.  The distinct passes and one model's contexts are
+    held in memory until they are tallied, so memory grows with the corpus's
+    distinct passes, not with its length.  The nested counts hold contexts
+    and their tags in the order a pair-by-pair, pass-by-pass loop would
+    first see them, and each model is made from its complete counts.  Every
+    shape is checked against ``vocab`` before any pair is encoded.
     """
     for context_width, smoothing in shapes:
         BaselineTagger.check_shape(context_width, smoothing, len(vocab))
     passes = count_passes(pairs, lexicon)
     sentences = [cur for cur, _ in passes]
-    indices = list(map(vocab.index.get, chain.from_iterable(tags for _, tags in passes), repeat(vocab.unknown_index)))
+    positions = [len(cur) + 1 for cur in sentences]
+    indices = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(tags for _, tags in passes), repeat(vocab.unknown_index)),
+        dtype=np.int64,
+        count=sum(positions),
+    )
+    # Each position as often as its pass: a pass of n tokens has n + 1 positions.
+    copies = np.repeat(np.fromiter(passes.values(), dtype=np.int64, count=len(passes)), positions)
     models = []
     for context_width, smoothing in shapes:
-        # Each position as often as its pass: a pass of n tokens has n + 1 positions.
-        reps = chain.from_iterable(map(repeat, passes.values(), (len(cur) + 1 for cur in sentences)))
-        items = zip(_batch_context_keys(sentences, context_width), indices)
-        tally: Counter[tuple[tuple[str, ...], int]] = Counter()
-        tally.update(chain.from_iterable(map(repeat, items, reps)))
-        counts: dict[tuple[str, ...], dict[int, int]] = {}
-        for (key, idx), n in tally.items():
-            counts.setdefault(key, {})[idx] = n
+        counts = _tally(_batch_context_keys(sentences, context_width), indices, copies, len(vocab))
         models.append(BaselineTagger(vocab, context_width, smoothing, counts))
     return models
+
+
+def _tally(
+    keys: list[tuple[str, ...]], tags: np.ndarray, copies: np.ndarray, width: int
+) -> dict[tuple[str, ...], dict[int, int]]:
+    """``{context: {tag index: copies summed}}`` over the positions with ``keys``, ``tags`` and ``copies``.
+
+    Contexts come in the order of their first position, and each context's
+    tags in the order of their first position with it: the order a
+    Counter over the positions' ``(context, tag)`` items would give.  A
+    context's id is the index of its first position, and each position's
+    code ``id * width + tag`` is unique to its context and tag.  A stable
+    sort puts equal codes together, first position first; their copies are
+    summed as integers, and the codes are then visited by first position.
+    """
+    if not keys:
+        return {}
+    ids: dict[tuple[str, ...], int] = {}
+    codes = np.fromiter(map(ids.setdefault, keys, count()), dtype=np.int64, count=len(keys))
+    codes *= width
+    codes += tags
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(copies[order], starts)
+    first = order[starts]
+    seen = np.argsort(first)
+    ctx, tag = np.divmod(codes[starts][seen], width)
+    counts: dict[int, dict[int, int]] = {}
+    for c, t, n in zip(ctx.tolist(), tag.tolist(), sums[seen].tolist()):
+        tally = counts.get(c)
+        if tally is None:
+            counts[c] = {t: n}
+        else:
+            tally[t] = n
+    return dict(zip(map(keys.__getitem__, counts), counts.values()))
 
 
 def train_baseline(

@@ -3,12 +3,16 @@
 It fills the whole (n+1)(m+1) table one cell at a time, where the kernel
 keeps only bit vectors of distance differences.  It uses unit costs and a
 backtrace that prefers MATCH, then SUBSTITUTE, then DELETE, then INSERT.
+
+``chunks`` is the batch pass's chunk planner as a greedy loop over the
+lanes, one lane at a time: the oracle for ``_levenshtein._chunks``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
+from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 
 
@@ -68,3 +72,25 @@ def backtrace_ops(src_ids: Sequence[Hashable], tgt_ids: Sequence[Hashable]) -> b
             j -= 1
     ops.reverse()
     return bytes(ops)
+
+
+def chunks(pairs: Sequence[tuple[Sequence[Hashable], Sequence[Hashable]]], lanes: list[int]) -> Iterator[list[int]]:
+    """The lanes in chunks of at most BATCH_CELLS cells, pairs of like target length together.
+
+    The lanes are taken in order of target length, ties in the given order.
+    A lane joins the open chunk unless the chunk, with it, would have more
+    than BATCH_CELLS cells (its lanes times its longest source times its
+    longest target); then the open chunk is closed and the lane opens the
+    next one.
+    """
+    chunk: list[int] = []
+    rows = cols = 0
+    for k in sorted(lanes, key=lambda k: len(pairs[k][1])):
+        n, m = len(pairs[k][0]), len(pairs[k][1])
+        if chunk and (len(chunk) + 1) * max(rows, n) * max(cols, m) > _levenshtein.BATCH_CELLS:
+            yield chunk
+            chunk, rows, cols = [], 0, 0
+        chunk.append(k)
+        rows, cols = max(rows, n), max(cols, m)
+    if chunk:
+        yield chunk

@@ -16,6 +16,7 @@ from gec_editkit import (
     write_matrix_file,
     write_tsv_corpus,
 )
+from gec_editkit import cli
 from gec_editkit.cli import main
 from gec_editkit.corpus import M2Block, M2Edit
 from gec_editkit.tagger import MatrixTagger
@@ -665,3 +666,55 @@ def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+# A valid argument list for each subcommand, every option given once.
+_VALID_ARGS = {
+    "build-vocab": ["--input", "i", "--output", "o", "--size", "9", "--lexicon", "l"],
+    "encode": ["--input", "i", "--output", "o"],
+    "apply": ["--source", "s", "--tags", "t", "--output", "o"],
+    "correct": ["--input", "i", "--output", "o", "--vocab", "v", "--tagger", "baseline=t", "--ac", "0.5"],
+    "ensemble": ["--mode", "vote", "--source", "s", "--output", "o", "--member", "a", "--member", "b", "--n-min", "1"],
+    "score": ["--hyp", "h", "--gold", "g"],
+    "tune": ["--gold", "g", "--vocab", "v", "--tagger", "t", "--trials", "2", "--max-iters", "3"],
+    "distill": ["--input", "i", "--output", "o", "--vocab", "v", "--member", "m", "--limit", "3", "--mode", "average"],
+    "filter": ["--input", "i", "--output", "o"],
+}
+
+
+def test_the_valid_args_cover_every_subcommand():
+    assert list(_VALID_ARGS) == list(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["frobnicate"], ["--nope"],
+    *([name, *extra] for name in _VALID_ARGS for extra in (
+        [],  # every required argument missing
+        ["--help"],
+        _VALID_ARGS[name],
+        [*_VALID_ARGS[name], "--mode", "neither"],  # a bad choice, or an option the command lacks
+        [*_VALID_ARGS[name], "stray"],  # an argument left over, which the top-level parser reports
+        [*_VALID_ARGS[name][:-1], "x"],  # a bad value for the last option given
+    )),
+], ids=lambda argv: "_".join(argv) or "no-args")
+def test_the_per_command_parser_parses_and_fails_as_the_full_one(argv, capsys, monkeypatch):
+    # main builds the named subcommand's parser alone.  What it parses, and
+    # every help text, usage, error and exit code, must be the full parser's.
+    ran = []
+    for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: ran.append(vars(args)) or 0)
+    built = []
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full_parser(command))
+
+    def outcome(parse):
+        try:
+            result = parse()
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    got = outcome(lambda: cli.main(argv) or ran.pop())
+    want = outcome(lambda: vars(full_parser().parse_args(argv)))
+    assert got == want
+    assert built == [argv[0] if argv and argv[0] in cli.SUBCOMMANDS else None]

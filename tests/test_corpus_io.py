@@ -30,6 +30,7 @@ from gec_editkit import (
     write_tsv_corpus,
     write_vocab_file,
 )
+from gec_editkit import corpus
 from gec_editkit.corpus import read_lines
 from gec_editkit.tags import DELETE, KEEP
 
@@ -314,6 +315,33 @@ def test_m2_write_refuses_an_edit_type_that_would_end_its_line(tmp_path, edit_ty
     assert os.listdir(tmp_path) == ["out.m2"]
 
 
+def test_m2_write_refuses_an_edit_type_that_ends_with_a_bar(tmp_path):
+    # "R|" then "|||c" would read back as type "R" and replacement "|c".
+    path = tmp_path / "out.m2"
+    path.write_text("untouched\n", encoding="utf-8")
+    block = M2Block(("a",), {0: (M2Edit(EditSpan(0, 1, ("c",)), "R|"),)})
+    with pytest.raises(ContractError, match="unwritable edit type 'R\\|'"):
+        write_m2(path, [block])
+    assert path.read_text(encoding="utf-8") == "untouched\n"
+    assert os.listdir(tmp_path) == ["out.m2"]
+
+
+def test_m2_write_refuses_a_last_replacement_token_that_ends_with_a_bar(tmp_path):
+    # "c|" then "|||REQUIRED" would read back as fields "c" and "|REQUIRED".
+    # A bar ending an earlier token is followed by a space, and one at the
+    # start of a token follows a full "|||", so both are written as they are.
+    path = tmp_path / "out.m2"
+    path.write_text("untouched\n", encoding="utf-8")
+    block = M2Block(("a", "b"), {0: (M2Edit(EditSpan(0, 1, ("x|", "c|")), "R"),)})
+    with pytest.raises(ContractError, match="replacement token 'c\\|'"):
+        write_m2(path, [block])
+    assert path.read_text(encoding="utf-8") == "untouched\n"
+    assert os.listdir(tmp_path) == ["out.m2"]
+    fine = [M2Block(("a", "b"), {0: (M2Edit(EditSpan(0, 1, ("x|", "|c")), "|R"),)})]
+    write_m2(path, fine)
+    assert read_m2(path) == fine
+
+
 # Malformed values for each field of a generated A line.
 _BAD_M2_FIELDS = {
     "span": ["-1 -1", "2 1", "0 9", "-1 0", "01 1", "+0 1", "0", "0 1 2", "0  1", "0\t1", "a b", "٠ 1", ""],
@@ -404,6 +432,57 @@ def test_m2_fields_met_before_are_checked_against_each_block(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_m2(path)
     assert str(exc.value) == f"{path}:6: annotator 1 mixes noop with other annotations"
+
+
+# Pieces of text that put every line-level and token-level rule of the plain
+# and TSV readers to work: line ends of each kind, tabs, whitespace that is
+# not a separator (vertical tab, NEL, line separator), doubled and edge
+# spaces, and bytes that are not UTF-8 (a stray byte and a cut-off sequence).
+_TEXT_PIECES = [
+    b"a", b"bc", b"\xc3\xa9", b" ", b"  ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n",
+    b"\x0b", b"\xc2\x85", b"\xe2\x80\xa8", b"\xff", b"\xe2\x82",
+]
+
+
+def _per_line(path, parse):
+    """The reader as a loop over lines, each parsed alone: the form the whole-file readers replaced."""
+    with read_lines(path) as lines:
+        return [parse(line) for line in lines]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@st.composite
+def corpus_texts(draw):
+    """Bytes of any mix of _TEXT_PIECES, or lines of tokens, so the readers' whole-file path returns too."""
+    if draw(st.booleans()):
+        return b"".join(draw(st.lists(st.sampled_from(_TEXT_PIECES), max_size=30)))
+    side = st.lists(st.sampled_from(["a", "bc", "é"]), max_size=3).map(" ".join)
+    sep = draw(st.sampled_from(["\t", " "]))  # TSV lines or, mostly, plain ones
+    lines = draw(st.lists(st.tuples(side, side, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8))
+    text = "".join(src + sep + tgt + end for src, tgt, end in lines)
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corpus_texts())
+@example(data=b"a bc\n\na\tbc")
+@example(data=b"a\t\t\n")
+@example(data=b"\t\n")
+# A fault met before the decoder reaches a bad byte fails first: a cut-off
+# sequence at the end, or a bad byte a few blocks of text further on.
+@example(data=b" \n\xe2\x82")
+@example(data=b"a  b\n" + b"a b\n" * 3000 + b"\xff\n")
+def test_whole_file_readers_equal_the_per_line_parse(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "f"
+    path.write_bytes(data)
+    assert _outcome(read_sentences, path) == _outcome(lambda p: _per_line(p, corpus._split_tokens), path)
+    assert _outcome(read_tsv_corpus, path) == _outcome(lambda p: _per_line(p, corpus._tsv_pair), path)
 
 
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path):

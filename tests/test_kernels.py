@@ -1,8 +1,10 @@
 """The alignment kernel's per-pair and batched paths against the plain DP in ``levenshtein_oracle``."""
 
 import random
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levenshtein_oracle
@@ -76,11 +78,31 @@ def test_batch_kernel_chunks_keep_every_pair_in_place(monkeypatch):
     monkeypatch.setattr(_levenshtein, "BATCH_CELLS", 2**12)
     rng = random.Random(12)
     pairs = [(random_ids(rng), random_ids(rng)) for _ in range(2 * _levenshtein.BATCH_MIN)]
-    chunks = list(_levenshtein._chunks(pairs, [k for k, (src, _) in enumerate(pairs) if src]))
+    chunks = list(_levenshtein._chunks(*lengths(pairs), np.array([k for k, (src, _) in enumerate(pairs) if src])))
     assert len(chunks) > 2
     assert all(len(chunk) * max(len(pairs[k][0]) for k in chunk) * max(len(pairs[k][1]) for k in chunk) <= 2**12
                for chunk in chunks if len(chunk) > 1)
     assert _levenshtein.backtrace_ops_batch(pairs) == [_levenshtein.backtrace_ops(s, t) for s, t in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)), max_size=400).map(
+        lambda sizes: [(range(n), range(m)) for n, m in sizes]
+    ),
+    cells=st.sampled_from([1, 7, 2**8, 2**12, 2**16, _levenshtein.BATCH_CELLS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Two 8-by-16 lanes fill 256 cells exactly, so they share a chunk.
+@example(pairs=[(range(8), range(16))] * 4, cells=2**8, seed=0)
+def test_chunks_equal_the_greedy_planner(pairs, cells, seed):
+    # Any subset of the pairs in any order may be the lanes, as long as each
+    # lane comes once; ties in target length keep the lanes' order.
+    lanes = [k for k in range(len(pairs)) if random.Random(seed + k).random() < 0.8]
+    random.Random(seed).shuffle(lanes)
+    with mock.patch.object(_levenshtein, "BATCH_CELLS", cells):
+        got = list(_levenshtein._chunks(*lengths(pairs), np.array(lanes, dtype=np.intp)))
+        assert got == list(levenshtein_oracle.chunks(pairs, lanes))
 
 
 def test_batch_kernel_takes_lanes_with_empty_targets():
@@ -99,6 +121,13 @@ def test_batch_kernel_compares_ids_only_for_equality():
 
     pairs = [(ids(), ids()) for _ in range(2 * _levenshtein.BATCH_MIN)]
     assert _levenshtein.backtrace_ops_batch(pairs) == [_levenshtein.backtrace_ops(s, t) for s, t in pairs]
+
+
+def lengths(pairs):
+    """The pairs' source and target lengths, as the two arrays backtrace_ops_batch measures."""
+    n = np.array([len(src) for src, _ in pairs], dtype=np.int64)
+    m = np.array([len(tgt) for _, tgt in pairs], dtype=np.int64)
+    return n, m
 
 
 def random_ids(rng, max_len=40):
