@@ -23,6 +23,12 @@ and what it does afterwards depends only on the prefixes left.  Aligning the
 prefixes alone therefore gives exactly the full op stream minus its trailing
 MATCHes.  The common prefix gets no such shortcut: the backtrace reaches it
 last, after choices that may have used its tokens.
+
+Encoding a pair to convergence (``count_passes``) applies each pass's tags
+to get the next sentence, unless the pass lands: when the encoder wrote
+every edit of the alignment into the tags (no deferred insertion, no cut
+replacement, no verb transform), applying them gives the target, and the
+walk takes the target as it is.  Most passes of long sentences land.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from . import _levenshtein
 from ._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE
 from .errors import ContractError
 from .spans import EditSpan, TokenSeq, _span, validate_tokens
-from .tags import DELETE, KEEP, Tag, TagSeq, _tag_seq, append, replace
+from .tags import DELETE, KEEP, Tag, TagKind, TagSeq, _tag_seq, append, replace
 from .transforms import VerbLexicon, apply_tags, detect_transform
 
 _DELETE = bytes([OP_DELETE])
@@ -175,7 +181,7 @@ def encode_tags(
     """
     src = tuple(source)
     tgt = tuple(target)
-    return _tags(src, tgt, _runs(src, tgt), lexicon, {})
+    return _tags(src, tgt, _runs(src, tgt), lexicon, {})[0]
 
 
 def encode_tags_batch(
@@ -188,21 +194,39 @@ def encode_tags_batch(
     all KEEP without being aligned.  Each distinct ``(token, replacement)``
     substitution goes through detect_transform once for the whole batch.
     """
+    return [tags for tags, _ in _encode_batch(pairs, lexicon)]
+
+
+def _encode_batch(
+    pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
+    lexicon: VerbLexicon | None,
+) -> list[tuple[TagSeq, bool]]:
+    """encode_tags_batch's passes, each with whether it lands (see _tags)."""
     pairs = [(tuple(source), tuple(target)) for source, target in pairs]
     distinct = list(dict.fromkeys(pairs))
-    tags = {pair: _tag_seq([KEEP] * (len(pair[0]) + 1)) for pair in distinct if pair[0] == pair[1]}
-    unequal = [pair for pair in distinct if pair not in tags]
-    substitutions: dict[tuple[str, TokenSeq], Tag] = {}
-    tags.update(
+    encoded = {pair: (_tag_seq([KEEP] * (len(pair[0]) + 1)), True) for pair in distinct if pair[0] == pair[1]}
+    unequal = [pair for pair in distinct if pair not in encoded]
+    substitutions: dict[tuple[str, TokenSeq], tuple[Tag, bool]] = {}
+    encoded.update(
         (pair, _tags(*pair, runs, lexicon, substitutions)) for pair, runs in zip(unequal, _runs_batch(unequal))
     )
-    return [tags[pair] for pair in pairs]
+    return [encoded[pair] for pair in pairs]
 
 
-def _substitution(token: str, repl: TokenSeq, lexicon: VerbLexicon | None) -> Tag:
-    """The tag replacing ``token`` by ``repl``: a transform if one fits, else REPLACE by its first token."""
+def _substitution(token: str, repl: TokenSeq, lexicon: VerbLexicon | None) -> tuple[Tag, bool]:
+    """The tag replacing ``token`` by ``repl``, and whether applying it is known to give ``repl``.
+
+    The tag is a transform if one fits, else REPLACE by the replacement's
+    first token, which gives ``repl`` only when that is its one token.
+    detect_transform found the transform by applying it to ``token``, so it
+    gives ``repl``, except that a verb transform is applied through the
+    lexicon's own reverse lookup, which may pick another base than the one
+    detect_transform matched; a verb transform is not counted as known.
+    """
     transform = detect_transform(token, repl, lexicon)
-    return replace(repl[0]) if transform is None else transform
+    if transform is None:
+        return replace(repl[0]), len(repl) == 1
+    return transform, transform.kind is not TagKind.TRANSFORM_VERB
 
 
 def _tags(
@@ -210,36 +234,53 @@ def _tags(
     tgt: TokenSeq,
     runs: list[_Run],
     lexicon: VerbLexicon | None,
-    substitutions: dict[tuple[str, TokenSeq], Tag],
-) -> TagSeq:
-    """The tags of one pass.  ``substitutions`` maps each ``(token,
-    replacement)`` met so far to its _substitution tag and gets the new ones."""
+    substitutions: dict[tuple[str, TokenSeq], tuple[Tag, bool]],
+) -> tuple[TagSeq, bool]:
+    """The tags of one pass, and whether the pass lands: whether apply_tags
+    turns ``src`` into ``tgt`` with them.
+
+    It lands when every run's edit fits in its tag slots: no insertion is
+    deferred, and every substitution's tag is known to give its replacement
+    (_substitution).  Every other tag is KEEP, DELETE or an APPEND of the
+    inserted token, so apply_tags then rebuilds ``tgt`` token by token.
+    ``substitutions`` maps each ``(token, replacement)`` met so far to its
+    _substitution result and gets the new ones.
+    """
     tags: list[Tag] = [KEEP] * (len(src) + 1)
+    lands = True
     for src_start, src_end, tgt_start, tgt_end, codes in runs:
         repl = tgt[tgt_start:tgt_end]
         width = src_end - src_start
         if width == 0:
             # Pure insertion: the anchor is the preceding (matched) position,
-            # whose tag slot is still free.
+            # whose tag slot is still free.  Only the first token fits.
             if tags[src_start].is_keep:
                 tags[src_start] = append(repl[0])
+            else:
+                lands = False
+            if len(repl) > 1:
+                lands = False
         elif width == 1 and not repl:  # no transform deletes
             tags[src_start + 1] = DELETE
         elif width == 1:
             key = (src[src_start], repl)
-            tag = substitutions.get(key)
-            if tag is None:
-                tag = substitutions[key] = _substitution(*key, lexicon)
-            tags[src_start + 1] = tag
+            known = substitutions.get(key)
+            if known is None:
+                known = substitutions[key] = _substitution(*key, lexicon)
+            tags[src_start + 1], exact = known
+            if not exact:
+                lands = False
         else:
             i, j = src_start, tgt_start
             for code in codes:
                 if code == OP_SUBSTITUTE:
                     key = (src[i], tgt[j:j + 1])
-                    tag = substitutions.get(key)
-                    if tag is None:
-                        tag = substitutions[key] = _substitution(*key, lexicon)
-                    tags[i + 1] = tag
+                    known = substitutions.get(key)
+                    if known is None:
+                        known = substitutions[key] = _substitution(*key, lexicon)
+                    tags[i + 1], exact = known
+                    if not exact:
+                        lands = False
                     i += 1
                     j += 1
                 elif code == OP_DELETE:
@@ -248,8 +289,10 @@ def _tags(
                 else:  # INSERT: only lands if the anchor slot is free
                     if tags[i].is_keep:
                         tags[i] = append(tgt[j])
+                    else:
+                        lands = False
                     j += 1
-    return _tag_seq(tags)
+    return _tag_seq(tags), lands
 
 
 def count_passes(
@@ -265,22 +308,30 @@ def count_passes(
     anything tallied over them in key order first meets its items in the
     order that stream would.
 
-    The pairs walk to convergence side by side: one encode_tags_batch call
+    The pairs walk to convergence side by side: one _encode_batch call
     encodes the next pass of every pair not yet at its all-KEEP pass.  The
     passes are counted afterwards, pair by pair, in the stream's order.
+
+    A pass that lands (_tags) takes its pair to the target, so the walk
+    moves there without calling apply_tags.  A pass lands when no insertion
+    is deferred (a second insertion at one anchor, or an insertion after a
+    substitution or deletion in one run), no multi-token replacement is cut
+    to its first token, and every substitution tag is REPLACE,
+    TRANSFORM_CASE, TRANSFORM_AGREEMENT or SPLIT_HYPHEN, whose application
+    detect_transform has already checked.  Every other pass is applied.
     """
     copies = Counter((tuple(s), tuple(t)) for s, t in pairs)
     walks: list[list[tuple[TokenSeq, TagSeq]]] = [[] for _ in copies]
     # (pair's index, its current sentence, its target) for every pair still walking
     active = [(k, source, target) for k, (source, target) in enumerate(copies)]
     while active:
-        encoded = encode_tags_batch([(cur, target) for _, cur, target in active], lexicon)
+        encoded = _encode_batch([(cur, target) for _, cur, target in active], lexicon)
         walking = []
-        for (k, cur, target), tags in zip(active, encoded):
+        for (k, cur, target), (tags, lands) in zip(active, encoded):
             walks[k].append((cur, tags))
             if tags.all_keep:
                 continue
-            cur = apply_tags(cur, tags, lexicon)
+            cur = target if lands else apply_tags(cur, tags, lexicon)
             # len(target)+1 applies suffice to reach the target, and one more
             # encode observes the all-KEEP fixed point.
             if len(walks[k]) == len(target) + 2:  # pragma: no cover

@@ -40,7 +40,7 @@ from .matrix_io import read_matrix_file
 from .score import score_corpus
 from .spans import TokenSeq
 from .tagger import BaselineTagger, MatrixTagger, Tagger, train_baselines
-from .tags import format_tag, parse_tag
+from .tags import parse_tag
 from .transforms import VerbLexicon
 from .tune import tune_hyperparams
 from .vocab import build_vocab, read_vocab_file, write_vocab_file
@@ -146,7 +146,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     lexicon = _load_lexicon(args)
     pairs = read_tsv_corpus(args.input)
-    write_sentences(args.output, [list(map(format_tag, tags)) for tags in encode_tags_batch(pairs, lexicon)])
+    write_sentences(args.output, [[tag.text for tag in tags] for tags in encode_tags_batch(pairs, lexicon)])
     return 0
 
 

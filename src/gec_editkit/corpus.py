@@ -267,7 +267,10 @@ def read_m2(path: str | Path) -> list[M2Block]:
     field's bounds, an annotator field's id and a replacement field's tokens
     are kept once they have passed their checks, and a later line with the
     same field reuses them.  Checks that depend on the line's block (the span
-    within the source, noop rules) run on every line.
+    within the source, noop rules) run on every line.  Each edit is built
+    with one ``tuple.__new__``, which is what ``M2Edit._make`` does after a
+    Python-level call and a length check that two fields need not have.
+    The file is read line by line, so no more of it is held than one block.
     """
     blocks: list[M2Block] = []
     source: TokenSeq | None = None
@@ -324,7 +327,7 @@ def read_m2(path: str | Path) -> list[M2Block]:
                 replacement = replacements.get(replacement_field)
                 if replacement is None:
                     replacement = replacements[replacement_field] = _m2_replacement(replacement_field)
-                edit = M2Edit._make((_span(start, end, replacement), edit_type))
+                edit = tuple.__new__(M2Edit, (_span(start, end, replacement), edit_type))
                 if annotator in noop_seen:
                     raise FormatError(f"annotator {annotator} mixes noop with other annotations")
                 edits = annotations.get(annotator)

@@ -117,8 +117,26 @@ def tally_votes(
 
 
 def _resolve_conflicts(candidates: list[tuple[EditSpan, int]]) -> list[EditSpan]:
-    # Strongest first: more votes, then earlier start, then shorter span,
-    # then lexicographically smaller replacement.
+    """The edits the greedy ranking keeps from ``candidates``, sorted.
+
+    The ranking takes the strongest edit first (more votes, then earlier
+    start, then shorter span, then lexicographically smaller replacement)
+    and keeps each edit that conflicts with none kept before it.
+
+    ``candidates`` come sorted by ``(start, end)`` (VoteTally.surviving),
+    and in such a list, if any two edits conflict then two neighbours do.
+    A neighbour pair that does not conflict has ``next.start >= prev.end``:
+    the other way apart, ``prev.start >= next.end``, would make both
+    insertions at one point.  Chained, every later edit starts at or after
+    the end of every earlier one, so no two overlap, and two insertions at
+    one point would make everything sorted between them an insertion at
+    that point too, so two neighbours would insert there.  When no
+    neighbours conflict the ranking keeps every edit, and sorting them
+    back gives the list as it came, so it is returned as it is.
+    """
+    edits = [edit for edit, _ in candidates]
+    if not any(map(edits_conflict, edits, edits[1:])):
+        return edits
     ranked = sorted(
         candidates,
         key=lambda item: (-item[1], item[0].start, item[0].end - item[0].start, item[0].replacement),

@@ -83,12 +83,16 @@ class Tag:
     Tags are interned: ``Tag(kind, payload)`` checks a kind and payload the
     first time it meets them and returns that same object ever after, so
     equal tags are one object, and equality and hashing are identity, done
-    in C.  A tag is immutable, and copying or unpickling it gives it back.
+    in C.  The interned tag also carries its canonical string, ``text``,
+    rendered once then, so format_tag and the vocab hash read it instead
+    of rendering the tag again.  A tag is immutable, and copying or
+    unpickling it gives it back.
     """
 
-    __slots__ = ("kind", "payload")
+    __slots__ = ("kind", "payload", "text")
     kind: TagKind
     payload: str | None
+    text: str
 
     def __new__(cls, kind: TagKind, payload: str | None = None) -> "Tag":
         try:
@@ -98,6 +102,7 @@ class Tag:
         tag = object.__new__(cls)
         object.__setattr__(tag, "kind", kind)
         object.__setattr__(tag, "payload", payload)
+        object.__setattr__(tag, "text", f"${kind.value}" if payload is None else f"${kind.value}_{payload}")
         return _INTERNED[kind].setdefault(payload, tag)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -145,10 +150,8 @@ def verb_transform(form_pair: str) -> Tag:
 
 
 def format_tag(tag: Tag) -> str:
-    """Render the unique canonical string for ``tag`` (parse_tag inverse)."""
-    if tag.payload is None:
-        return f"${tag.kind.value}"
-    return f"${tag.kind.value}_{tag.payload}"
+    """The unique canonical string for ``tag`` (parse_tag inverse), rendered when it was interned."""
+    return tag.text
 
 
 _BARE = {f"${k.value}": Tag(k) for k in _PAYLOAD_FREE}

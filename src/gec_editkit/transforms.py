@@ -7,8 +7,10 @@ transforms (case, noun number, verb form, hyphen split) let frequent
 corrections encode as one compact tag instead of a token-specific
 replacement.  Noun number is rule-based (s/es/ies plus a small irregular
 table); coverage gaps simply fall back to REPLACE tags upstream, which is
-always correct.  Verb forms come from an explicit lexicon file so behavior
-stays reproducible.
+always correct.  ``singularize`` raises where no singular rule fits; the
+detector asks the same rules through ``_singular``, which answers None
+there instead, since most tokens it tests have no singular.  Verb forms
+come from an explicit lexicon file so behavior stays reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .corpus import read_lines
 from .errors import ContractError, FormatError, InapplicableTransformError
 from .spans import TokenSeq, validate_tokens
 from .tags import (
-    AGREEMENT_DIRECTIONS,
     CASE_VARIANTS,
     KEEP,
     START_KINDS,
@@ -101,6 +102,16 @@ def pluralize(token: str) -> str:
 
 def singularize(token: str) -> str:
     """Rule-based singular; raises InapplicableTransformError when no rule fits."""
+    singular = _singular(token)
+    if singular is None:
+        raise InapplicableTransformError(f"no singular rule applies to {token!r}")
+    return singular
+
+
+def _singular(token: str) -> str | None:
+    """singularize's result, or None where it raises: detect_transform tests
+    every substituted token for a singular, and most have none, so it asks
+    here without paying for an exception."""
     lower = token.lower()
     irregular = _IRREGULAR_SINGULAR.get(lower)
     if irregular is not None:
@@ -111,7 +122,7 @@ def singularize(token: str) -> str:
         return token[:-2]
     if lower.endswith("s") and not lower.endswith("ss") and len(lower) >= 2:
         return token[:-1]
-    raise InapplicableTransformError(f"no singular rule applies to {token!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -304,13 +315,11 @@ def detect_transform(
         for variant in CASE_VARIANTS:
             if _apply_case(variant, src_token) == target:
                 return case_transform(variant)
-        for direction in AGREEMENT_DIRECTIONS:
-            try:
-                done = pluralize(src_token) if direction == "PLURAL" else singularize(src_token)
-            except InapplicableTransformError:
-                continue
-            if done == target:
-                return agreement_transform(direction)
+        # AGREEMENT_DIRECTIONS order: SINGULAR, then PLURAL.
+        if _singular(src_token) == target:
+            return agreement_transform("SINGULAR")
+        if pluralize(src_token) == target:
+            return agreement_transform("PLURAL")
         if lexicon is not None:
             for base, src_key in lexicon.paradigm_slots(src_token):
                 for dst_key in lexicon.form_keys(base):

@@ -14,7 +14,7 @@ from .align import count_passes
 from .corpus import read_lines, write_lines
 from .errors import ContractError, FormatError
 from .spans import TokenSeq
-from .tags import DELETE, KEEP, START_KINDS, UNKNOWN, Tag, format_tag, parse_tag
+from .tags import DELETE, KEEP, START_KINDS, UNKNOWN, Tag, parse_tag
 from .transforms import VerbLexicon
 
 VOCAB_FILE_HEADER = "gec-editkit/vocab-v1"
@@ -51,8 +51,8 @@ class TagVocab:
             raise ContractError("vocab contains duplicate tags")
         for must in MANDATORY_TAGS:
             if must not in index:
-                raise ContractError(f"vocab is missing mandatory tag {format_tag(must)}")
-        digest = hashlib.sha256("\n".join(format_tag(t) for t in self.tags).encode("utf-8"))
+                raise ContractError(f"vocab is missing mandatory tag {must.text}")
+        digest = hashlib.sha256("\n".join([t.text for t in self.tags]).encode("utf-8"))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "unknown_index", index[UNKNOWN])
         object.__setattr__(self, "sha256", digest.hexdigest())
@@ -110,7 +110,7 @@ def build_vocab(
         raise ContractError(f"size_cap must be at least {len(MANDATORY_TAGS)}, got {size_cap}")
     counts = count_edit_tags(pairs, lexicon)
     candidates = [
-        (-count, format_tag(tag), tag)
+        (-count, tag.text, tag)
         for tag, count in counts.items()
         if tag not in MANDATORY_TAGS
     ]
@@ -120,7 +120,7 @@ def build_vocab(
 
 
 def write_vocab_file(path: str | Path, vocab: TagVocab) -> None:
-    write_lines(path, [VOCAB_FILE_HEADER, *(format_tag(t) for t in vocab.tags)])
+    write_lines(path, [VOCAB_FILE_HEADER, *(t.text for t in vocab.tags)])
 
 
 def read_vocab_file(path: str | Path) -> TagVocab:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levenshtein_oracle
+import train_oracle
 from gec_editkit import (
     EditSpan,
     align,
@@ -17,10 +18,11 @@ from gec_editkit import (
     extract_edits_batch,
     format_tag,
     train_baseline,
+    train_baselines,
 )
 from gec_editkit import _levenshtein
 from gec_editkit._levenshtein import OP_DELETE, OP_INSERT, OP_MATCH, OP_SUBSTITUTE, backtrace_ops
-from gec_editkit.align import _runs, _runs_batch
+from gec_editkit.align import _runs, _runs_batch, count_passes
 from gec_editkit.errors import ContractError
 from gec_editkit.tags import KEEP, TagKind, TagSeq
 from gec_editkit.vocab import count_edit_tags
@@ -309,12 +311,87 @@ def test_the_batch_transform_memo_changes_no_tag(lexicon, with_lexicon, seed):
         tags = align.encode_tags_batch(pairs, lex)
         # Each distinct substitution is detected once in the whole batch.
         assert detected and len(detected) == len(set(detected))
-        memoless = [align._tags(s, t, _runs(s, t), lex, _Forgetful()) for s, t in pairs]
+        memoless = [align._tags(s, t, _runs(s, t), lex, _Forgetful())[0] for s, t in pairs]
     assert tags == memoless
     assert all(type(seq) is TagSeq and TagSeq(list(seq)) == seq for seq in tags)
     assert len(detected) > 2 * len(set(detected))
     transforms = {tag.kind for seq in tags for tag in seq} & {TagKind.TRANSFORM_CASE, TagKind.TRANSFORM_VERB}
     assert transforms == ({TagKind.TRANSFORM_CASE, TagKind.TRANSFORM_VERB} if with_lexicon else {TagKind.TRANSFORM_CASE})
+
+
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_count_passes_equals_the_pass_by_pass_walk(lexicon, with_lexicon, seed):
+    lex = lexicon if with_lexicon else None
+    pairs = mixed_batch(random.Random(seed), lexicon)
+    walked = {}
+    for source, target in pairs:
+        for one in encode_passes(source, target, lex):
+            walked[one] = walked.get(one, 0) + 1
+    applied = []
+    real = align.apply_tags
+
+    def counting(tokens, tags, lexicon=None):
+        applied.append(tokens)
+        return real(tokens, tags, lexicon)
+
+    with mock.patch.object(align, "apply_tags", counting):
+        passes = count_passes(pairs, lex)
+    assert list(passes.items()) == list(walked.items())
+    assert list(count_edit_tags(pairs, lex).items()) == list(train_oracle.count_edit_tags(pairs, lex).items())
+    vocab = build_vocab(pairs[::2], 40, lex)
+    models = train_baselines(pairs, vocab, [(0, 1.0), (1, 1.0)], lex)
+    for model, expected in zip(models, train_oracle.train_counts(pairs, vocab, [0, 1], lex)):
+        assert [(key, list(tags.items())) for key, tags in model.counts.items()] == [
+            (key, list(tags.items())) for key, tags in expected.items()
+        ]
+    # Landed passes take their target without apply_tags; the rest are applied.
+    distinct = dict.fromkeys(pairs)
+    edit_passes = sum(
+        1 for source, target in distinct for _, tags in encode_passes(source, target, lex) if not tags.all_keep
+    )
+    assert 0 < len(applied) < edit_passes
+    # Where the encoder says a pass lands, applying it gives the target.
+    for source, target in distinct:
+        for cur, tags in encode_passes(source, target, lex):
+            (encoded, lands), = align._encode_batch([(cur, target)], lex)
+            assert encoded == tags
+            if lands:
+                assert apply_tags(cur, tags, lex) == target
+
+
+@pytest.mark.parametrize("source, target, with_lexicon", [
+    pytest.param(("a", "b"), ("a", "x", "y", "b"), False, id="two-insertions-at-one-anchor"),
+    pytest.param(("a", "b", "c"), ("a", "x", "y", "c"), False, id="one-token-replaced-by-two"),
+    pytest.param(("she", "whispered"), ("she", "whispering"), True, id="verb-transform"),
+])
+def test_passes_that_do_not_land_are_applied(lexicon, source, target, with_lexicon):
+    lex = lexicon if with_lexicon else None
+    (tags, lands), = align._encode_batch([(source, target)], lex)
+    assert not lands and not tags.all_keep
+    applied = []
+    real = align.apply_tags
+
+    def counting(tokens, tags, lexicon=None):
+        applied.append((tokens, tags))
+        return real(tokens, tags, lexicon)
+
+    with mock.patch.object(align, "apply_tags", counting):
+        passes = count_passes([(source, target)], lex)
+    assert applied[0] == (source, tags)
+    assert list(passes.items()) == [(one, 1) for one in encode_passes(source, target, lex)]
+
+
+def test_an_insertion_after_a_deletion_in_one_run_does_not_land():
+    # The kernel's preference order (SUBSTITUTE, then DELETE, then INSERT,
+    # from the end) puts a run's insertions before its other ops, so this
+    # run is built by hand: delete b, insert x behind it, substitute c by y.
+    source, target = ("a", "b", "c", "d"), ("a", "x", "y", "d")
+    run = (1, 3, 1, 3, bytes([OP_DELETE, OP_INSERT, OP_SUBSTITUTE]))
+    tags, lands = align._tags(source, target, [run], None, {})
+    assert [tag.text for tag in tags] == ["$KEEP", "$KEEP", "$DELETE", "$REPLACE_y", "$KEEP"]
+    assert not lands and apply_tags(source, tags) != target
 
 
 @settings(max_examples=3, deadline=None)

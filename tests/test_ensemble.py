@@ -24,6 +24,7 @@ from gec_editkit import (
 )
 from gec_editkit import ensemble
 from gec_editkit.ensemble import _orderless_mean
+from gec_editkit.spans import edits_conflict
 
 from average_oracle import orderless_mean
 from gen import as_batch, mutate, random_distribution, random_tokens, random_vocab
@@ -257,6 +258,58 @@ def test_vote_conflict_resolution_prefers_votes_then_position():
         apply_edits(source, [EditSpan(1, 3, narrow)]),
     ]
     assert majority_vote(source, outputs, 1) == [EditSpan(0, 2, wide)]
+
+
+def _greedy(candidates):
+    """The greedy ranking on every list: strongest first, keep what conflicts with nothing kept, sort back."""
+    ranked = sorted(
+        candidates, key=lambda item: (-item[1], item[0].start, item[0].end - item[0].start, item[0].replacement)
+    )
+    kept = []
+    for edit, _ in ranked:
+        if not any(edits_conflict(edit, other) for other in kept):
+            kept.append(edit)
+    return sorted(kept, key=EditSpan.sort_key)
+
+
+def _survivors(rng):
+    """Distinct edits sorted by (start, end) as VoteTally.surviving gives them, each with a vote count.
+
+    Spans are laid end to end (touching), sometimes nested in or overlapping
+    the one before, with insertions that now and then share a point.
+    """
+    edits = {}
+    pos = rng.randint(0, 2)
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.15 and edits:  # nested in, or overlapping, an earlier span
+            start = rng.randint(0, pos)
+            end = rng.randint(start, pos + 1)
+        elif roll < 0.3:  # an insertion, perhaps at the point of the one before
+            start = end = pos
+        else:  # the next span, touching the one before or apart from it
+            start = pos + rng.randint(0, 1)
+            end = start + rng.randint(1, 2)
+            pos = end
+        replacement = tuple(rng.choice("XYZ") for _ in range(rng.randint(start == end, 2)))
+        edits.setdefault(EditSpan(start, end, replacement), rng.randint(1, 3))
+    return sorted(edits.items(), key=lambda item: item[0].sort_key())
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_conflict_free_survivors_skip_nothing(seed):
+    rng = random.Random(seed)
+    free = conflicting = 0
+    for _ in range(400):
+        candidates = _survivors(rng)
+        edits = [edit for edit, _ in candidates]
+        if any(edits_conflict(a, b) for i, a in enumerate(edits) for b in edits[i + 1:]):
+            conflicting += 1
+        else:
+            free += 1
+        assert ensemble._resolve_conflicts(candidates) == _greedy(candidates)
+    assert free > 50 and conflicting > 50
 
 
 def test_vote_tie_breaks_deterministically():

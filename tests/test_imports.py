@@ -173,7 +173,7 @@ def test_three_sites_build_unchecked_tag_sequences():
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_tag_seq"
     )
-    assert sites == {("decode", "select_batch"): 1, ("align", "_tags"): 1, ("align", "encode_tags_batch"): 1}
+    assert sites == {("decode", "select_batch"): 1, ("align", "_tags"): 1, ("align", "_encode_batch"): 1}
     # Named anywhere else (passed on, aliased), it would escape the count above.
     named = sum(1 for name in users for node in ast.walk(trees[name])
                 if isinstance(node, ast.Name) and node.id == "_tag_seq")

@@ -405,13 +405,13 @@ def test_training_encodes_each_distinct_pair_once(monkeypatch):
     pairs = make_corpus(60, seed=9)
     vocab = build_vocab(pairs, 50)
     batches = []
-    real = align_module.encode_tags_batch
+    real = align_module._encode_batch
 
     def counting(batch, lexicon=None):
         batches.append(list(batch))
         return real(batches[-1], lexicon)
 
-    monkeypatch.setattr(align_module, "encode_tags_batch", counting)
+    monkeypatch.setattr(align_module, "_encode_batch", counting)
     train_baselines(pairs * 2, vocab, [(1, 1.0)])
     # The first batch holds each distinct pair once, in first-seen order, and
     # the later ones only the passes after it: no pair is walked twice.

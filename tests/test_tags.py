@@ -61,6 +61,29 @@ def test_parse_format_round_trip_over_generated_tags():
         assert parse_tag(format_tag(tag)) == tag
 
 
+def test_every_kind_formats_to_its_interned_text():
+    rng = random.Random(20261022)
+    kinds = set()
+    for _ in range(500):
+        tag = random_tag(rng)
+        kinds.add(tag.kind)
+        text = format_tag(tag)
+        assert text is tag.text
+        assert parse_tag(text) is tag
+        # The stored text is the rendering of the kind and payload.
+        assert text == (f"${tag.kind.value}" if tag.payload is None else f"${tag.kind.value}_{tag.payload}")
+    assert kinds == set(TagKind)
+
+
+def test_copies_keep_the_text():
+    rng = random.Random(20261023)
+    for _ in range(100):
+        tag = random_tag(rng)
+        copies = [copy.copy(tag), copy.deepcopy(tag)]
+        copies += [pickle.loads(pickle.dumps(tag, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(made.text == tag.text == format_tag(made) for made in copies)
+
+
 def test_payload_with_underscore_round_trips():
     tag = append("co_op")
     assert parse_tag(format_tag(tag)) == tag
@@ -133,7 +156,11 @@ def test_tags_are_immutable():
         tag.kind = TagKind.REPLACE
     with pytest.raises(AttributeError):
         del tag.payload
-    assert (tag.kind, tag.payload) == (TagKind.APPEND, "the")
+    with pytest.raises(AttributeError):
+        tag.text = "$APPEND_a"
+    with pytest.raises(AttributeError):
+        del tag.text
+    assert (tag.kind, tag.payload, tag.text) == (TagKind.APPEND, "the", "$APPEND_the")
     assert repr(tag) == "Tag(kind=<TagKind.APPEND: 'APPEND'>, payload='the')"
 
 

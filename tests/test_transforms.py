@@ -1,6 +1,9 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gec_editkit import (
     ContractError,
@@ -13,7 +16,10 @@ from gec_editkit import (
     detect_transform,
 )
 from gec_editkit.tags import agreement_transform, case_transform, verb_transform
-from gec_editkit.transforms import pluralize, singularize
+from gec_editkit.align import _runs
+from gec_editkit.transforms import _singular, pluralize, singularize
+
+from gen import NOUNS, WORDS, transform_groups, transform_pair
 
 # Independent oracle for the suffix rules: a hand-built inflection list.
 HAND_INFLECTIONS = {
@@ -64,6 +70,82 @@ def test_singularize_inapplicable():
         singularize("dog")
     with pytest.raises(InapplicableTransformError):
         singularize("glass")
+
+
+def _tokens(rng):
+    """Tokens that meet every singular rule and miss them: nouns in both numbers, words, cased and cut."""
+    words = NOUNS + tuple(map(pluralize, NOUNS)) + WORDS + tuple(HAND_INFLECTIONS.values()) + (
+        "s", "ss", "es", "ies", "xes", "oxes", "abies", "lies", "bus", "gas", "Ies",
+    )
+    word = rng.choice(words)
+    word = rng.choice((word, word.upper(), word.capitalize()))
+    return word[: rng.randint(1, len(word))] if rng.random() < 0.3 else word
+
+
+def test_singularize_raises_exactly_where_singular_finds_nothing():
+    rng = random.Random(20261022)
+    misses = hits = 0
+    for _ in range(3000):
+        token = _tokens(rng)
+        singular = _singular(token)
+        if singular is None:
+            with pytest.raises(InapplicableTransformError) as exc:
+                singularize(token)
+            assert str(exc.value) == f"no singular rule applies to {token!r}"
+            misses += 1
+        else:
+            assert singularize(token) == singular
+            hits += 1
+    assert misses > 300 and hits > 300
+
+
+def _parent_detect(src_token, tgt, lexicon):
+    """detect_transform as written with singularize's exception, the agreement directions tried in order."""
+    if len(tgt) == 1:
+        target = tgt[0]
+        if target == src_token:
+            return None
+        for variant in ("CAPITAL", "LOWER", "UPPER"):
+            if apply_transform(case_transform(variant), src_token) == tgt:
+                return case_transform(variant)
+        for direction in ("SINGULAR", "PLURAL"):
+            try:
+                done = pluralize(src_token) if direction == "PLURAL" else singularize(src_token)
+            except InapplicableTransformError:
+                continue
+            if done == target:
+                return agreement_transform(direction)
+        if lexicon is not None:
+            for base, src_key in lexicon.paradigm_slots(src_token):
+                for dst_key in lexicon.form_keys(base):
+                    if dst_key != src_key and lexicon.inflect(base, dst_key) == target:
+                        return verb_transform(f"{src_key}_{dst_key}")
+    elif len(tgt) >= 2:
+        if "-" in src_token and tuple(src_token.split("-")) == tgt and all(tgt):
+            return Tag(TagKind.SPLIT_HYPHEN)
+    return None
+
+
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_detect_transform_agrees_with_the_raising_singular(lexicon, with_lexicon, seed):
+    lex = lexicon if with_lexicon else None
+    rng = random.Random(seed)
+    groups = transform_groups(lexicon)
+    substitutions = set()
+    for _ in range(60):
+        source, target = transform_pair(rng, groups, lexicon, max_len=12)
+        for src_start, src_end, tgt_start, tgt_end, _ in _runs(source, target):
+            if src_end - src_start == 1 and tgt_end > tgt_start:
+                substitutions.add((source[src_start], target[tgt_start:tgt_end]))
+    substitutions.update((pluralize(noun), (noun,)) for noun in NOUNS)
+    kinds = set()
+    for token, replacement in substitutions:
+        tag = detect_transform(token, replacement, lex)
+        assert tag is _parent_detect(token, replacement, lex), (token, replacement)
+        kinds.add(None if tag is None else tag.payload if tag.kind is TagKind.TRANSFORM_AGREEMENT else tag.kind)
+    assert {None, "SINGULAR", "PLURAL"} <= kinds
 
 
 def test_split_hyphen():

@@ -15,10 +15,33 @@ from gec_editkit import (
     write_vocab_file,
 )
 from gec_editkit import vocab as vocab_module
-from gec_editkit.tags import DELETE, KEEP, UNKNOWN, TagKind, append, replace
+from gec_editkit.tags import (
+    DELETE,
+    KEEP,
+    MERGE,
+    SPLIT_HYPHEN,
+    UNKNOWN,
+    TagKind,
+    agreement_transform,
+    append,
+    case_transform,
+    replace,
+    verb_transform,
+)
 from gec_editkit.vocab import count_edit_tags
 
 from gen import random_pair, random_tag
+
+
+def test_the_vocab_hash_is_pinned():
+    # The hash of the tags' canonical strings, one a line: matrix files made
+    # with a vocab name it, so it must not move when tags are rendered
+    # differently.
+    tags = (
+        KEEP, DELETE, UNKNOWN, append("the"), replace("goes"), case_transform("CAPITAL"),
+        agreement_transform("PLURAL"), verb_transform("VB_VBZ"), MERGE, SPLIT_HYPHEN, append("co_op"),
+    )
+    assert TagVocab(tags).sha256 == "0e90d1cc2fb24d127164f8c76bd4f1c300fed7a479f21461a1e447c4de9187c1"
 
 
 def test_empty_corpus_gives_mandatory_tags():
