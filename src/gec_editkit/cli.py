@@ -34,7 +34,7 @@ from .corpus import (
 # perfbench's tracer tests wrap and restore it here.
 from .decode import Hyperparams, apply_tags, run_pipeline, run_pipeline_batch  # noqa: F401
 from .distill import distill
-from .ensemble import average_correct_batch, vote_correct_batch
+from .ensemble import _check_quorum, average_correct_batch, vote_correct_batch
 from .errors import ContractError, EditKitError, InputError
 from .matrix_io import read_matrix_file
 from .score import score_corpus
@@ -131,8 +131,7 @@ def _quorum(args: argparse.Namespace, n_members: int) -> int | None:
             raise ContractError(f"--n-min is the vote mode's quorum; --mode {args.mode} takes none")
         return None
     n_min = max(1, n_members - 1) if args.n_min is None else args.n_min
-    if not 1 <= n_min <= n_members:
-        raise ContractError(f"n_min must lie in [1, {n_members}], got {n_min}")
+    _check_quorum(n_min, n_members)
     return n_min
 
 

@@ -17,12 +17,11 @@ this module re-exports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .spans import TokenSeq
 from .tags import KEEP, TagSeq, _tag_seq
 from .tagger import TagDistribution, Tagger
@@ -53,11 +52,8 @@ class Hyperparams:
             raise ContractError(f"ac must lie in [0, 1], got {self.ac}")
         if not 0.0 <= self.mep <= 1.0:
             raise ContractError(f"mep must lie in [0, 1], got {self.mep}")
-        try:
-            if index(self.max_iters) < 1:
-                raise ContractError(f"max_iters must be >= 1, got {self.max_iters}")
-        except TypeError:
-            raise ContractError(f"max_iters must be an integer, got {self.max_iters!r}") from None
+        if check_integer("max_iters", self.max_iters) < 1:
+            raise ContractError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import index
 from typing import Callable, Iterable, Sequence
 
 from .corpus import ParallelCorpus
-from .errors import ContractError, EditKitError
+from .errors import ContractError, EditKitError, check_integer
 from .spans import TokenSeq
 
 # Corrects a list of sentences: one output sentence per source.
@@ -65,11 +64,8 @@ def distill(
     as failed and skipped.  Any other exception is a bug and propagates, as
     does a corrector that returns a different number of sentences than it got.
     """
-    try:
-        if index(limit) < 1:
-            raise ContractError(f"limit must be >= 1, got {limit}")
-    except TypeError:
-        raise ContractError(f"limit must be an integer, got {limit!r}") from None
+    if check_integer("limit", limit) < 1:
+        raise ContractError(f"limit must be >= 1, got {limit}")
     pairs: ParallelCorpus = []
     processed = failed = 0
     remaining = iter(sentences)

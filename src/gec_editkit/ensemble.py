@@ -17,7 +17,7 @@ import numpy as np
 
 from .align import extract_edits, extract_edits_batch
 from .decode import Hyperparams, decode_iteratively
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .spans import EditSpan, TokenSeq, apply_edits, edits_conflict
 from .tagger import TagDistribution, Tagger
 from .transforms import VerbLexicon
@@ -168,7 +168,8 @@ def majority_vote(
 
 
 def _check_quorum(n_min: int, members: int) -> None:
-    if not 1 <= n_min <= members:
+    """Refuse a quorum that is not an integer in ``[1, members]``."""
+    if not 1 <= check_integer("n_min", n_min) <= members:
         raise ContractError(f"n_min must lie in [1, {members}], got {n_min}")
 
 

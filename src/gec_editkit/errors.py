@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one integer check."""
 
 from __future__ import annotations
+
+from operator import index
 
 
 class EditKitError(Exception):
@@ -46,3 +48,16 @@ class FormatError(EditKitError, ValueError):
 
 class InputError(EditKitError, ValueError):
     """Inputs are individually well-formed but mutually inconsistent."""
+
+
+def check_integer(name: str, value: object) -> int:
+    """``value`` as a plain int, or a ContractError naming ``name``.
+
+    An int, a bool or a numpy integer is an integer (``operator.index``); a
+    float or a str is not, whatever its value.  Range checks stay with the
+    callers.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None

@@ -12,14 +12,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import index, methodcaller
 from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .align import count_passes
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .spans import TokenSeq
 from .transforms import VerbLexicon
 from .vocab import TagVocab
@@ -183,75 +182,75 @@ def _batch_context_keys(sentences: Sequence[Sequence[str]], width: int) -> list[
     return keys
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaselineTagger:
     """Count-based tagger: P(tag | token window) with additive smoothing.
 
     Deterministic by construction; varying the window width or smoothing
     yields genuinely diverse ensemble members.
 
-    ``counts`` maps each seen context to ``{tag index: count}``.  It is read
-    once, at construction, into a compressed sparse row table: ``_ids`` gives
-    each context its row, and that row's tag indices and counts (as float64)
-    are ``_cols`` and ``_vals`` from ``_indptr[row]`` up to
-    ``_indptr[row + 1]``.  Prediction reads only the table, so ``counts``
-    must be complete before the tagger is made.  ``model.counts`` is a
-    read-only view, so it cannot drift from what the tagger predicts from:
-    changing it, a context's tag counts included, raises TypeError.  The
-    context mapping is copied at construction; each context's tag dict is
-    wrapped, not copied, so the dicts the tagger was made from must not be
-    changed afterwards.
+    Its seen counts are one compressed sparse row table: row ``r`` holds
+    context ``contexts[r]``, whose tag indices and counts are
+    ``cols[indptr[r]:indptr[r + 1]]`` and ``counts[indptr[r]:indptr[r + 1]]``.
+    Construction checks the table and keeps its own copies: ``contexts`` as a
+    tuple, and read-only arrays, ``counts`` as float64.  So nothing it was
+    made from can change what it predicts, and ``_ids``, each context's row,
+    is derived from the copy.  Equality is identity; a copy, a replace or a
+    pickle is made from the fields as they are.
     """
 
     vocab: TagVocab
     context_width: int
     smoothing: float
-    counts: Mapping[tuple[str, ...], Mapping[int, int]] = field(repr=False)
-    _ids: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
-    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _vals: np.ndarray = field(init=False, repr=False, compare=False)
+    contexts: Sequence[tuple[str, ...]] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    _ids: dict[tuple[str, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.check_shape(self.context_width, self.smoothing, len(self.vocab))
-        seen = list(self.counts.values())
-        indptr = np.fromiter(accumulate(map(len, seen), initial=0), dtype=np.intp, count=len(seen) + 1)
-        cols = np.fromiter(chain.from_iterable(seen), dtype=np.intp, count=indptr[-1])
-        vals = np.fromiter(chain.from_iterable(map(methodcaller("values"), seen)), dtype=np.float64, count=indptr[-1])
+        contexts = tuple(self.contexts)
+        ids = dict(zip(contexts, count()))
+        if len(ids) != len(contexts):
+            raise ContractError("a context has more than one row")
+        indptr, cols, counts = np.asarray(self.indptr), np.asarray(self.cols), np.asarray(self.counts)
+        if indptr.dtype.kind not in "iu" or cols.dtype.kind not in "iu" or counts.dtype.kind not in "iuf":
+            dtypes = f"{indptr.dtype}, {cols.dtype} and {counts.dtype}"
+            raise ContractError(f"indptr and cols must be integer arrays and counts numbers, got {dtypes}")
+        # astype copies, so no array the tagger was made from is kept.
+        indptr, cols, counts = indptr.astype(np.intp), cols.astype(np.intp), counts.astype(np.float64)
+        if indptr.shape != (len(contexts) + 1,) or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+            raise ContractError(f"indptr must rise from 0 in {len(contexts) + 1} steps, one per context and one more")
+        if cols.shape != (indptr[-1],) or counts.shape != (indptr[-1],):
+            shapes = f"{cols.shape} and {counts.shape}"
+            raise ContractError(f"cols and counts must hold indptr[-1] = {indptr[-1]} cells, got {shapes}")
         if cols.size and not (0 <= cols.min() and cols.max() < len(self.vocab)):
             raise ContractError(f"counts name tag indices outside the vocab's {len(self.vocab)} tags")
-        table = {
-            "counts": MappingProxyType(dict(zip(self.counts, map(MappingProxyType, seen)))),
-            "_ids": dict(zip(self.counts, count())),
-            "_indptr": indptr,
-            "_cols": cols,
-            "_vals": vals,
-        }
-        for name, value in table.items():
+        # A row's columns rise, so each names a tag once; one += per cell relies on it.
+        if (np.diff(cols) <= 0)[np.isin(np.arange(1, cols.size), indptr, invert=True)].any():
+            raise ContractError("each row's tag indices must rise")
+        # min is NaN when any count is NaN, so the comparison refuses it too.
+        if counts.size and not (counts.min() > 0.0 and math.isfinite(counts.max())):
+            raise ContractError("counts must be positive and finite")
+        for array in (indptr, cols, counts):
+            array.flags.writeable = False
+        for name, value in zip(("contexts", "indptr", "cols", "counts", "_ids"), (contexts, indptr, cols, counts, ids)):
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        # A read-only mapping does not pickle or deep-copy; the tagger is
-        # remade, table and all, from plain dicts.
-        counts = {key: dict(tags) for key, tags in self.counts.items()}
-        return type(self), (self.vocab, self.context_width, self.smoothing, counts)
-
     @staticmethod
-    def check_shape(context_width: int, smoothing: float, vocab_size: int | None = None) -> None:
-        """Refuse a window width or smoothing no BaselineTagger can have.
+    def check_shape(context_width: int, smoothing: float, vocab_size: int) -> None:
+        """Refuse a window width or smoothing no BaselineTagger over ``vocab_size`` tags can have.
 
-        Given ``vocab_size``, also refuse a smoothing whose row sum over that
-        many tags, ``smoothing * vocab_size``, exceeds half the largest float:
-        such a row overflows when it is normalised.
+        That includes a smoothing whose row sum over ``vocab_size`` tags,
+        ``smoothing * vocab_size``, exceeds half the largest float: such a
+        row overflows when it is normalised.
         """
-        try:
-            if index(context_width) < 0:
-                raise ContractError("context_width must be >= 0")
-        except TypeError:
-            raise ContractError(f"context_width must be an integer, got {context_width!r}") from None
+        if check_integer("context_width", context_width) < 0:
+            raise ContractError("context_width must be >= 0")
         if not (smoothing > 0.0 and math.isfinite(smoothing)):
             raise ContractError("smoothing must be positive and finite so unseen contexts stay normalized")
-        if vocab_size is not None and smoothing * vocab_size > sys.float_info.max / 2:
+        if smoothing * vocab_size > sys.float_info.max / 2:
             raise ContractError(
                 f"smoothing {smoothing!r} over a vocab of {vocab_size} tags overflows a row's sum; "
                 "smoothing * vocab size must stay within half the largest float"
@@ -264,19 +263,19 @@ class BaselineTagger:
         # Every position's row starts at the smoothing value and gets its
         # context's seen counts scattered in; no dense per-context table is
         # kept, since at a 5000-tag vocab each row costs 40 KB.
-        # A hit's table row is ctx; its cells are cols/vals[indptr[ctx]:
+        # A hit's table row is ctx; its cells are cols/counts[indptr[ctx]:
         # indptr[ctx + 1]], gathered for all hits at once.  Columns are unique
         # within a table row, so each seen cell gets exactly one +=.
         keys = _batch_context_keys(sentences, self.context_width)
         rows = np.full((len(keys), len(self.vocab)), self.smoothing)
         ctx = np.fromiter(map(self._ids.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
         hits = np.flatnonzero(ctx >= 0)
-        lo = self._indptr[ctx[hits]]
-        sizes = self._indptr[ctx[hits] + 1] - lo
+        lo = self.indptr[ctx[hits]]
+        sizes = self.indptr[ctx[hits] + 1] - lo
         # Cell k of the hits' concatenated table rows sits at k minus the
         # cells of the hits before its own, plus its own row's lo.
         at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        rows[np.repeat(hits, sizes), self._cols[at]] += self._vals[at]
+        rows[np.repeat(hits, sizes), self.cols[at]] += self.counts[at]
         rows /= rows.sum(axis=1, keepdims=True)
         err = np.clip(1.0 - rows[:, self.vocab.keep_index], 0.0, 1.0)
         return TagDistribution(self.vocab.sha256, rows, err, sentence_bounds(map(len, sentences))[:-1])
@@ -298,15 +297,14 @@ def train_baselines(
     its copies.
 
     Each model tallies ``(context, tag index)`` over the positions of all
-    distinct passes in numpy (_tally): every context gets an id in one
-    ``dict.setdefault`` pass, every position one ``int64`` code from its
-    context and tag, weighted by its pass's copies, and equal codes are
-    summed in integers.  The distinct passes and one model's contexts are
-    held in memory until they are tallied, so memory grows with the corpus's
-    distinct passes, not with its length.  The nested counts hold contexts
-    and their tags in the order a pair-by-pair, pass-by-pass loop would
-    first see them, and each model is made from its complete counts.  Every
-    shape is checked against ``vocab`` before any pair is encoded.
+    distinct passes in numpy (_tally), straight into the table it is made
+    from: every context gets an id in one ``dict.setdefault`` pass, every
+    position one ``int64`` code from its context and tag, weighted by its
+    pass's copies, and equal codes are summed in integers.  The distinct
+    passes and one model's contexts are held in memory until they are
+    tallied, so memory grows with the corpus's distinct passes, not with its
+    length.  Every shape is checked against ``vocab`` before any pair is
+    encoded.
     """
     for context_width, smoothing in shapes:
         BaselineTagger.check_shape(context_width, smoothing, len(vocab))
@@ -322,45 +320,33 @@ def train_baselines(
     copies = np.repeat(np.fromiter(passes.values(), dtype=np.int64, count=len(passes)), positions)
     models = []
     for context_width, smoothing in shapes:
-        counts = _tally(_batch_context_keys(sentences, context_width), indices, copies, len(vocab))
-        models.append(BaselineTagger(vocab, context_width, smoothing, counts))
+        table = _tally(_batch_context_keys(sentences, context_width), indices, copies, len(vocab))
+        models.append(BaselineTagger(vocab, context_width, smoothing, *table))
     return models
 
 
 def _tally(
     keys: list[tuple[str, ...]], tags: np.ndarray, copies: np.ndarray, width: int
-) -> dict[tuple[str, ...], dict[int, int]]:
-    """``{context: {tag index: copies summed}}`` over the positions with ``keys``, ``tags`` and ``copies``.
+) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray, np.ndarray]:
+    """The table ``(contexts, indptr, cols, counts)`` of ``copies`` summed over positions with ``keys`` and ``tags``.
 
-    Contexts come in the order of their first position, and each context's
-    tags in the order of their first position with it: the order a
-    Counter over the positions' ``(context, tag)`` items would give.  A
-    context's id is the index of its first position, and each position's
-    code ``id * width + tag`` is unique to its context and tag.  A stable
-    sort puts equal codes together, first position first; their copies are
-    summed as integers, and the codes are then visited by first position.
+    A context's id is the index of its first position, and each position's
+    code ``id * width + tag`` is unique to its context and tag.  Sorted, equal
+    codes stand together and their copies are summed as integers; the sorted
+    distinct codes give the contexts in the order of their first position
+    and each context's tags in ascending index order, a row per context.
     """
-    if not keys:
-        return {}
     ids: dict[tuple[str, ...], int] = {}
     codes = np.fromiter(map(ids.setdefault, keys, count()), dtype=np.int64, count=len(keys))
     codes *= width
     codes += tags
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes)
     codes = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    sums = np.add.reduceat(copies[order], starts)
-    first = order[starts]
-    seen = np.argsort(first)
-    ctx, tag = np.divmod(codes[starts][seen], width)
-    counts: dict[int, dict[int, int]] = {}
-    for c, t, n in zip(ctx.tolist(), tag.tolist(), sums[seen].tolist()):
-        tally = counts.get(c)
-        if tally is None:
-            counts[c] = {t: n}
-        else:
-            tally[t] = n
-    return dict(zip(map(keys.__getitem__, counts), counts.values()))
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    ctx, cols = np.divmod(codes[starts], width)
+    rows = np.flatnonzero(np.diff(ctx, prepend=-1))
+    contexts = list(map(keys.__getitem__, ctx[rows].tolist()))
+    return contexts, np.append(rows, ctx.size), cols, np.add.reduceat(copies[order], starts)
 
 
 def train_baseline(

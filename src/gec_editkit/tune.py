@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from operator import index
 from typing import Callable, Sequence
 
 from .align import extract_edits_batch
 from .decode import Hyperparams
-from .errors import ContractError
+from .errors import ContractError, check_integer
 from .score import ScoreReport, score_corpus
 from .spans import EditSpan, TokenSeq
 
@@ -53,11 +52,8 @@ def tune_hyperparams(
     resolve to the lower ac, then the lower mep, so results are reproducible
     bit for bit.
     """
-    try:
-        if index(trials) < 1:
-            raise ContractError(f"trials must be >= 1, got {trials}")
-    except TypeError:
-        raise ContractError(f"trials must be an integer, got {trials!r}") from None
+    if check_integer("trials", trials) < 1:
+        raise ContractError(f"trials must be >= 1, got {trials}")
     if len(sources) != len(gold):
         raise ContractError(f"{len(sources)} sources for {len(gold)} gold annotations")
     rng = random.Random(seed)

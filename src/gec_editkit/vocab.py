@@ -12,7 +12,7 @@ import numpy as np
 
 from .align import count_passes
 from .corpus import read_lines, write_lines
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_integer
 from .spans import TokenSeq
 from .tags import DELETE, KEEP, START_KINDS, UNKNOWN, Tag, parse_tag
 from .transforms import VerbLexicon
@@ -106,7 +106,7 @@ def build_vocab(
     slots go to the highest-frequency tags, ties broken lexicographically by
     formatted tag so the result is stable across platforms.
     """
-    if size_cap < len(MANDATORY_TAGS):
+    if check_integer("size_cap", size_cap) < len(MANDATORY_TAGS):
         raise ContractError(f"size_cap must be at least {len(MANDATORY_TAGS)}, got {size_cap}")
     counts = count_edit_tags(pairs, lexicon)
     candidates = [

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ def test_batch_vote_contracts():
 def test_batch_vote_checks_the_quorum_without_rows(n_min):
     with pytest.raises(ContractError, match=rf"n_min must lie in \[1, 2\], got {n_min}"):
         vote_correct_batch([], [[], []], n_min)
+
+
+@pytest.mark.parametrize("n_min", [1.5, 2.0, "2", None])
+def test_a_quorum_must_be_an_integer(n_min):
+    # 1.5 used to vote as a quorum of 2, and "2" failed with a bare TypeError.
+    members = [[("a", "c")], [("a", "b")], [("a", "c")]]
+    with pytest.raises(ContractError, match=f"^n_min must be an integer, got {re.escape(repr(n_min))}$"):
+        vote_correct_batch([("a", "b")], members, n_min)
+    with pytest.raises(ContractError, match="n_min must be an integer"):
+        majority_vote(("a", "b"), [m[0] for m in members], n_min)
+    # A numpy integer is an integer.
+    assert vote_correct_batch([("a", "b")], members, np.int64(2)) == [("a", "c")]
 
 
 def test_tally_and_majority_vote_by_hand():

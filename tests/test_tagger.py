@@ -47,6 +47,9 @@ from deskdata import make_corpus
 from gen import as_batch, mutate, random_distribution, random_pair, random_vocab
 
 
+EMPTY = train_oracle.table({})
+
+
 @pytest.fixture
 def small_vocab():
     pairs = [(("He", "go"), ("He", "goes")), (("I", "like", "dog"), ("I", "like", "the", "dog"))]
@@ -87,7 +90,7 @@ def test_distribution_refuses_non_integer_starts(small_vocab):
 
 
 def test_untrained_baseline_predicts_uniform(small_vocab):
-    model = BaselineTagger(small_vocab, context_width=1, smoothing=0.5, counts={})
+    model = BaselineTagger(small_vocab, 1, 0.5, *EMPTY)
     d = model.predict(("anything", "here"))
     np.testing.assert_allclose(d.rows, 1.0 / len(small_vocab))
     np.testing.assert_allclose(d.error_probs, 1.0 - 1.0 / len(small_vocab))
@@ -119,8 +122,9 @@ def per_hit_rows(model, sentences):
     """The reference: each seen count added to its cell one at a time, then normalised."""
     keys = [key for tokens in sentences for key in _context_keys(tokens, model.context_width)]
     expected = np.full((len(keys), len(model.vocab)), model.smoothing)
+    counts = train_oracle.nested(model)
     for r, key in enumerate(keys):
-        for col, count in model.counts.get(key, {}).items():
+        for col, count in counts.get(key, {}).items():
             expected[r, col] += count
     expected /= expected.sum(axis=1, keepdims=True)
     return keys, expected
@@ -136,11 +140,11 @@ def test_baseline_rows_equal_the_per_hit_loop():
         model = train_baseline(pairs, vocab, context_width=width, smoothing=0.3)
         keys, expected = per_hit_rows(model, sentences)
         # The batch mixes positions whose context was seen and ones whose was not.
-        assert 0 < sum(key in model.counts for key in keys) < len(keys)
+        assert 0 < sum(key in model.contexts for key in keys) < len(keys)
         assert np.array_equal(model.predict_batch(sentences).rows, expected)
         # A lone empty sentence, alone and in a batch of one.
         assert np.array_equal(model.predict_batch([()]).rows, per_hit_rows(model, [()])[1])
-        untrained = BaselineTagger(vocab, width, 0.3, {})
+        untrained = BaselineTagger(vocab, width, 0.3, *EMPTY)
         assert np.array_equal(untrained.predict_batch(sentences).rows, per_hit_rows(untrained, sentences)[1])
         assert np.array_equal(untrained.predict_batch([()]).rows, per_hit_rows(untrained, [()])[1])
 
@@ -153,7 +157,7 @@ def test_baseline_rows_equal_the_per_hit_loop_at_a_5000_tag_vocab():
     for width in (0, 1, 2):
         seen = dict.fromkeys(key for tokens in sentences[::2] for key in _context_keys(tokens, width))
         counts = {key: {col: rng.randint(1, 9) for col in rng.sample(range(5000), rng.choice([1, 3, 200]))} for key in seen}
-        model = BaselineTagger(vocab, width, 0.3, counts)
+        model = BaselineTagger(vocab, width, 0.3, *train_oracle.table(counts))
         keys, expected = per_hit_rows(model, sentences)
         assert 0 < sum(key in counts for key in keys) < len(keys)
         assert np.array_equal(model.predict_batch(sentences).rows, expected)
@@ -162,18 +166,18 @@ def test_baseline_rows_equal_the_per_hit_loop_at_a_5000_tag_vocab():
 def test_baseline_refuses_counts_outside_its_vocab(small_vocab):
     for col in (-1, len(small_vocab)):
         with pytest.raises(ContractError, match=f"outside the vocab's {len(small_vocab)} tags"):
-            BaselineTagger(small_vocab, 1, 1.0, {("a",): {0: 1, col: 2}})
+            BaselineTagger(small_vocab, 1, 1.0, *train_oracle.table({("a",): {0: 1, col: 2}}))
 
 
 def test_baseline_refuses_a_non_integer_context_width(small_vocab):
     with pytest.raises(ContractError, match="^context_width must be an integer, got 1.5$"):
-        BaselineTagger(small_vocab, 1.5, 1.0, {})
+        BaselineTagger(small_vocab, 1.5, 1.0, *EMPTY)
     pairs = [(("He", "go"), ("He", "goes"))]
     with pytest.raises(ContractError, match="^context_width must be an integer, got '2'$"):
         train_baselines(pairs, small_vocab, [(1, 1.0), ("2", 1.0)])
     # A numpy integer is an integer.
-    wide = BaselineTagger(small_vocab, np.int64(2), 1.0, {})
-    assert np.array_equal(wide.predict(("He", "go")).rows, BaselineTagger(small_vocab, 2, 1.0, {}).predict(("He", "go")).rows)
+    wide = BaselineTagger(small_vocab, np.int64(2), 1.0, *EMPTY)
+    assert np.array_equal(wide.predict(("He", "go")).rows, BaselineTagger(small_vocab, 2, 1.0, *EMPTY).predict(("He", "go")).rows)
 
 
 def test_a_smoothing_that_overflows_a_row_sum_is_refused_before_encoding(small_vocab, monkeypatch):
@@ -182,7 +186,7 @@ def test_a_smoothing_that_overflows_a_row_sum_is_refused_before_encoding(small_v
         "smoothing * vocab size must stay within half the largest float"
     )
     with pytest.raises(ContractError) as exc:
-        BaselineTagger(small_vocab, 1, 1e308, {})
+        BaselineTagger(small_vocab, 1, 1e308, *EMPTY)
     assert str(exc.value) == message
 
     def no_encoding(*args, **kwargs):
@@ -223,7 +227,7 @@ def test_empty_corpus_gives_uniform_model(small_vocab):
 
 def test_context_width_zero_keys_on_current_token(small_vocab):
     model = train_baseline([(("He", "go"), ("He", "goes"))], small_vocab, context_width=0)
-    keys = set(model.counts)
+    keys = set(model.contexts)
     assert all(len(k) == 1 for k in keys)
     assert ("go",) in keys
 
@@ -305,7 +309,12 @@ def test_context_keys_are_as_distinct_as_full_width_ones(width, monkeypatch):
     assert np.array_equal(model.predict_batch(sentences).rows, rows)
     # Full-width keys reached both training (its counts hold only them) and prediction.
     assert len(batches) == 2 and batches[1] == sentences
-    assert model.counts and all(len(key) == 2 * width + 1 for key in model.counts)
+    assert model.contexts and all(len(key) == 2 * width + 1 for key in model.contexts)
+
+
+def same_table(a, b):
+    """Two taggers hold equal tables: the same contexts in the same rows, and equal arrays."""
+    return a.contexts == b.contexts and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("indptr", "cols", "counts"))
 
 
 def test_baseline_determinism(small_vocab):
@@ -313,7 +322,7 @@ def test_baseline_determinism(small_vocab):
     pairs = [random_pair(rng, max_len=8) for _ in range(30)]
     a = train_baseline(pairs, small_vocab, context_width=1, smoothing=0.25)
     b = train_baseline(pairs, small_vocab, context_width=1, smoothing=0.25)
-    assert a.counts == b.counts
+    assert same_table(a, b)
     for sent, _ in pairs[:5]:
         da, db = a.predict(sent), b.predict(sent)
         assert np.array_equal(da.rows, db.rows)
@@ -323,25 +332,83 @@ def test_baseline_determinism(small_vocab):
 def test_baseline_counts_are_a_read_only_view_of_what_it_predicts_from(small_vocab):
     pairs = [(("He", "go"), ("He", "goes")), (("I", "like", "dog"), ("I", "like", "the", "dog"))]
     trained = train_baseline(pairs, small_vocab, context_width=1)
-    counts = {key: dict(tags) for key, tags in trained.counts.items()}
-    model = BaselineTagger(small_vocab, 1, 1.0, counts)
+    model = BaselineTagger(small_vocab, 1, 1.0, *train_oracle.table(train_oracle.nested(trained)))
     sentence = ("He", "go")
     rows = model.predict(sentence).rows
-    key = next(iter(counts))
-    with pytest.raises(TypeError):
-        model.counts[key] = {0: 1}
-    with pytest.raises(TypeError):
-        model.counts[key][0] = 1
-    # The context mapping it was made from is copied: dropping contexts from it changes nothing.
-    counts.clear()
-    assert model.counts == trained.counts and model == trained
-    assert np.array_equal(model.predict(sentence).rows, rows)
-    # A tagger remade from another's counts, by replace, a pickle or a deep copy, predicts the same.
-    remade = [dataclasses.replace(model), copy.deepcopy(model)]
+    assert isinstance(model.contexts, tuple)
+    for array in (model.indptr, model.cols, model.counts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[-1] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.counts = np.ones_like(model.counts)
+    # Equality is identity; the tables are compared instead.
+    assert same_table(model, trained) and model != trained
+    # A tagger remade from another's fields, by copy, replace, a pickle or a deep copy, predicts the same.
+    remade = [copy.copy(model), dataclasses.replace(model), copy.deepcopy(model)]
     remade += [pickle.loads(pickle.dumps(model, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for back in remade:
-        assert back == model
+        assert same_table(back, model)
         assert np.array_equal(back.predict(sentence).rows, rows)
+
+
+def test_a_tagger_cannot_drift_from_the_table_it_was_made_from(small_vocab):
+    contexts, indptr, cols, counts = train_oracle.table({("go",): {1: 5}, ("He",): {0: 2, 2: 1}})
+    model = BaselineTagger(small_vocab, 0, 1.0, contexts, indptr, cols, counts)
+    sentence = ("He", "go", "home")
+    rows = model.predict(sentence).rows
+    # The seen rows are not the smoothing's uniform one.
+    assert rows[2, 1] == pytest.approx(6 / (5 + len(small_vocab)))
+    before = [copy.deepcopy(model), dataclasses.replace(model)]
+    before += [pickle.loads(pickle.dumps(model, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    contexts.reverse()
+    contexts.append(("home",))
+    indptr[1:] = [0, 0]
+    cols[:] = 2
+    counts *= 100.0
+    after = [copy.deepcopy(model), dataclasses.replace(model)]
+    after += [pickle.loads(pickle.dumps(model, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [model, *before, *after]:
+        assert back.contexts == (("go",), ("He",))
+        assert np.array_equal(back.predict(sentence).rows, rows)
+
+
+def _table_with(**changes):
+    """The two-row table {("go",): {1: 5}, ("He",): {0: 2, 2: 1}} with ``changes`` to its fields."""
+    fields = dict(zip(("contexts", "indptr", "cols", "counts"), train_oracle.table({("go",): {1: 5}, ("He",): {0: 2, 2: 1}})))
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"contexts": [("go",), ("go",)]}, "a context has more than one row"),
+        ({"indptr": [0, 2, 1]}, "indptr must rise from 0 in 3 steps"),
+        ({"indptr": [1, 1, 3]}, "indptr must rise from 0 in 3 steps"),
+        ({"indptr": [0, 3]}, "indptr must rise from 0 in 3 steps"),
+        ({"indptr": np.array([0.0, 1.0, 3.0])}, "indptr and cols must be integer arrays"),
+        ({"cols": np.array([1.0, 0.0, 2.0])}, "indptr and cols must be integer arrays"),
+        ({"counts": ["5", "2", "1"]}, "counts numbers"),
+        ({"cols": [1, 0]}, r"cols and counts must hold indptr\[-1\] = 3 cells, got \(2,\) and \(3,\)"),
+        ({"counts": [5.0, 2.0, 1.0, 1.0]}, r"cols and counts must hold indptr\[-1\] = 3 cells, got \(3,\) and \(4,\)"),
+        ({"cols": [1, 0, 99]}, "counts name tag indices outside the vocab's"),
+        ({"cols": [1, 2, 0]}, "each row's tag indices must rise"),
+        ({"cols": [1, 0, 0]}, "each row's tag indices must rise"),
+        ({"counts": [5.0, 0.0, 1.0]}, "counts must be positive and finite"),
+        ({"counts": [5.0, -2.0, 1.0]}, "counts must be positive and finite"),
+        ({"counts": [5.0, float("nan"), 1.0]}, "counts must be positive and finite"),
+        ({"counts": [5.0, float("inf"), 1.0]}, "counts must be positive and finite"),
+    ],
+)
+def test_a_table_that_breaks_a_check_is_refused(small_vocab, changes, message):
+    with pytest.raises(ContractError, match=message):
+        BaselineTagger(small_vocab, 0, 1.0, **_table_with(**changes))
+
+
+def test_a_rows_columns_may_restart_low_at_the_next_row(small_vocab):
+    # Only columns within one row must rise; an empty row is allowed.
+    model = BaselineTagger(small_vocab, 0, 1.0, **_table_with(contexts=[("go",), ("a",), ("He",)], indptr=[0, 1, 1, 3]))
+    assert model.predict(("a",)).rows[1].tolist() == [1 / len(small_vocab)] * len(small_vocab)
 
 
 @pytest.mark.parametrize("with_lexicon", [False, True])
@@ -356,8 +423,8 @@ def test_train_baselines_match_separate_trainings(with_lexicon, empty):
     models = train_baselines(iter(pairs), vocab, shapes, lexicon)
     assert [(m.context_width, m.smoothing) for m in models] == shapes
     for model, (cw, sm) in zip(models, shapes):
-        assert model.counts == train_baseline(pairs, vocab, cw, sm, lexicon).counts
-    assert bool(models[0].counts) != empty
+        assert nested_items(model) == nested_items(train_baseline(pairs, vocab, cw, sm, lexicon))
+    assert bool(models[0].contexts) != empty
     assert models[1].counts is not models[3].counts
 
 
@@ -376,9 +443,12 @@ def pair_lists_with_repeats(draw):
     return [pool[i] for i in picks]
 
 
-def nested_items(counts):
-    """Contexts and each context's tags in dict order, with their counts."""
-    return [(key, list(tags.items())) for key, tags in counts.items()]
+def nested_items(model):
+    """A tagger's contexts in row order, each with its ``{tag index: count}``.
+
+    Each context's tags are a dict, so their order within a row is not compared.
+    """
+    return list(train_oracle.nested(model).items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,14 +459,14 @@ def test_training_equals_the_pair_by_pair_loop(pairs, with_lexicon):
     vocab = build_vocab(pairs[::2], 12, lexicon)  # some tags fall outside it, as UNKNOWN
     models = train_baselines(pairs, vocab, [(cw, 1.0) for cw in widths], lexicon)
     for model, expected in zip(models, train_oracle.train_counts(pairs, vocab, widths, lexicon)):
-        assert nested_items(model.counts) == nested_items(expected)
+        assert nested_items(model) == list(expected.items())
     oracle_tags = train_oracle.count_edit_tags(pairs, lexicon)
     tags = count_edit_tags(pairs, lexicon)
     assert list(tags.items()) == list(oracle_tags.items())
     tripled = train_baselines(pairs * 3, vocab, [(cw, 1.0) for cw in widths], lexicon)
     for model, three in zip(models, tripled):
-        assert nested_items(three.counts) == [
-            (key, [(idx, 3 * n) for idx, n in items]) for key, items in nested_items(model.counts)
+        assert nested_items(three) == [
+            (key, {idx: 3 * n for idx, n in tags.items()}) for key, tags in nested_items(model)
         ]
     assert count_edit_tags(pairs * 3, lexicon) == Counter({tag: 3 * n for tag, n in tags.items()})
 

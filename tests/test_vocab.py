@@ -83,6 +83,15 @@ def test_size_cap_contract():
         build_vocab([], 2)
 
 
+@pytest.mark.parametrize("size_cap", [10.5, 10.0, "10", None])
+def test_size_cap_must_be_an_integer(size_cap):
+    # 10.5 used to fail inside numpy with "slice indices must be integers".
+    pairs = [(("He", "go"), ("He", "goes"))]
+    with pytest.raises(ContractError, match=f"^size_cap must be an integer, got {re.escape(repr(size_cap))}$"):
+        build_vocab(pairs, size_cap)
+    assert build_vocab(pairs, np.int64(10)).sha256 == build_vocab(pairs, 10).sha256
+
+
 def test_vocab_invariants():
     with pytest.raises(ContractError):
         TagVocab((DELETE, KEEP, UNKNOWN))  # KEEP must sit at index 0

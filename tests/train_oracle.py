@@ -1,5 +1,6 @@
 """The pair-by-pair, pass-by-pass training loop: the test oracle for
-``tagger.train_baselines`` and ``vocab.count_edit_tags``.
+``tagger.train_baselines`` and ``vocab.count_edit_tags``; and the nested
+counts it gives, turned into a ``BaselineTagger``'s table and back.
 
 It runs the encoder to convergence on every pair as given, repeats
 included, and adds each pass to the tallies as it is produced, so it keeps
@@ -11,6 +12,9 @@ order first seen.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+
+import numpy as np
 
 from gec_editkit.align import encode_tags
 from gec_editkit.tagger import _context_keys
@@ -60,3 +64,22 @@ def count_edit_tags(pairs, lexicon=None):
         for _, tags in encode_passes(source, target, lexicon):
             counts.update(tags)
     return counts
+
+
+def table(counts):
+    """The table ``(contexts, indptr, cols, counts)`` of nested ``{context: {tag index: count}}``.
+
+    Contexts keep their order; each context's tags are put in ascending index order.
+    """
+    rows = [sorted(tags.items()) for tags in counts.values()]
+    cells = [cell for row in rows for cell in row]
+    indptr = np.array(list(accumulate(map(len, rows), initial=0)), dtype=np.intp)
+    cols = np.array([col for col, _ in cells], dtype=np.intp)
+    return list(counts), indptr, cols, np.array([n for _, n in cells], dtype=np.float64)
+
+
+def nested(model):
+    """A BaselineTagger's table read back as nested ``{context: {tag index: count}}``, in row order, counts as ints."""
+    bounds = model.indptr.tolist()
+    cols, counts = model.cols.tolist(), list(map(int, model.counts.tolist()))
+    return {context: dict(zip(cols[lo:hi], counts[lo:hi])) for context, lo, hi in zip(model.contexts, bounds, bounds[1:])}
